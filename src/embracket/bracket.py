@@ -49,11 +49,6 @@ from .expr import (
     v,
 )
 
-_EPS_SIGN = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1,
-}
-
 _VV_PREFACTOR = E_SYM / (M_SYM**2 * C_SYM)
 
 
@@ -71,7 +66,7 @@ def _atom_class(atom) -> str:
 
 def _grad_q(atom, idx) -> Expr:
     """d(atom)/dq_idx for a (position, t)-function atom."""
-    return partial(ex.Expr(((Fraction(1), (0, 0, 0), (atom,)),)), ("q", idx))
+    return partial(ex._atom_expr(atom), ("q", idx))
 
 
 def _bracket_atoms(a, b) -> Expr:
@@ -117,16 +112,14 @@ def _bracket_mono(atoms_a: tuple, atoms_b: tuple) -> Expr:
     if len(atoms_b) > 1:
         b0, rest = atoms_b[0], atoms_b[1:]
         result = (
-            ex.Expr(((Fraction(1), (0, 0, 0), (b0,)),)) * _bracket_mono(atoms_a, rest)
-            + _bracket_mono(atoms_a, (b0,))
-            * ex.Expr(((Fraction(1), (0, 0, 0), rest),))
+            ex._atom_expr(b0) * _bracket_mono(atoms_a, rest)
+            + _bracket_mono(atoms_a, (b0,)) * ex._atom_expr(*rest)
         )
     elif len(atoms_a) > 1:
         a0, rest = atoms_a[0], atoms_a[1:]
         result = (
-            ex.Expr(((Fraction(1), (0, 0, 0), (a0,)),)) * _bracket_mono(rest, atoms_b)
-            + _bracket_mono((a0,), atoms_b)
-            * ex.Expr(((Fraction(1), (0, 0, 0), rest),))
+            ex._atom_expr(a0) * _bracket_mono(rest, atoms_b)
+            + _bracket_mono((a0,), atoms_b) * ex._atom_expr(*rest)
         )
     else:
         result = _bracket_atoms(atoms_a[0], atoms_b[0])
@@ -142,18 +135,11 @@ def bracket(a: Expr, b: Expr) -> Expr:
     summed indices are kept private.
     """
     total = ZERO
-    for ta in a.terms:
-        for tb in b.terms:
-            names_a = set(ex._name_counts(ta[2]))
-            names_b = set(ex._name_counts(tb[2]))
-            ta2 = ex._rename_dummies_apart(ta, names_b)
-            tb2 = ex._rename_dummies_apart(tb, names_a | set(ex._name_counts(ta2[2])))
-            coeff = ta2[0] * tb2[0]
-            cpow = tuple(x + y for x, y in zip(ta2[1], tb2[1]))
-            piece = _bracket_mono(ta2[2], tb2[2])
-            if piece.is_zero:
-                continue
-            total = total + ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece
+    for coeff, cpow, atoms_a, atoms_b in ex._term_pairs(a, b):
+        piece = _bracket_mono(atoms_a, atoms_b)
+        if piece.is_zero:
+            continue
+        total = total + ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece
     return total
 
 
@@ -174,16 +160,22 @@ def jacobi_residual(a: Expr, b: Expr, c: Expr) -> Expr:
 # the abstract force ansatz and helpers
 
 
+def _field_vector(family: str) -> list[Expr]:
+    return [field_component(family, i) for i in (1, 2, 3)]
+
+
+def _field_dual_tensor() -> tuple[tuple[Expr, ...], ...]:
+    """-(e/mc) eps_ijk B_k, the value of {q_i, F_j} for the Lorentz ansatz."""
+    scale = -E_SYM / (M_SYM * C_SYM)
+    return tuple(
+        tuple(scale * entry for entry in row)
+        for row in ex._eps_matrix(_field_vector("B"))
+    )
+
+
 def lorentz_force() -> tuple[Expr, Expr, Expr]:
     """The velocity-affine force e*E_i + (e/c) eps_ijk v_j B_k with opaque fields."""
-    comps = []
-    for i in (1, 2, 3):
-        f = E_SYM * field_component("E", i)
-        for (a, b, c), sign in _EPS_SIGN.items():
-            if a == i:
-                f = f + ex.rational(sign) * (E_SYM / C_SYM) * v(b) * field_component("B", c)
-        comps.append(f)
-    return tuple(comps)
+    return ex._lorentz(_field_vector("E"), _field_vector("B"))
 
 
 def _lorentz_component_symbolic(i: str) -> Expr:
@@ -271,10 +263,6 @@ class DerivationReport:
         verdicts_ok = all(c.verdict is not False for c in self.constraints)
         return steps_ok and verdicts_ok
 
-    @property
-    def failures(self) -> list[DerivationStep]:
-        return [s for s in self.steps if not s.ok]
-
     def step(self, name: str) -> DerivationStep:
         for s in self.steps:
             if s.name == name:
@@ -316,6 +304,11 @@ def _joined(exprs) -> str:
     return "; ".join(str(e) for e in exprs)
 
 
+def _joined_distinct(exprs) -> str:
+    """Each distinct printed form once, "0" first."""
+    return _joined(sorted({str(p) for p in exprs}, key=lambda s: (s != "0", s)))
+
+
 def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
     """Certify that {q_i, F_j} is a position-only antisymmetric tensor.
 
@@ -327,11 +320,12 @@ def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
         "qF-antisymmetry", {"force": [str(f) for f in comps]}
     )
     g = [[bracket(q(i), comps[j - 1]) for j in (1, 2, 3)] for i in (1, 2, 3)]
+    g_text = _joined(g[i][j] for i in range(3) for j in range(3))
     report.add(
         "force-bracket-matrix",
         "Leibniz expansion of {q_i, F_j} by the base bracket rules",
         comps,
-        _joined(g[i][j] for i in range(3) for j in range(3)),
+        g_text,
     )
     sym = [
         [(g[i][j] + g[j][i]) / 2 for j in range(3)] for i in range(3)
@@ -340,7 +334,7 @@ def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
     report.add(
         "force-bracket-antisymmetry",
         "symmetric part of {q_i, F_j} must vanish",
-        [_joined(g[i][j] for i in range(3) for j in range(3))],
+        [g_text],
         _joined(sym_flat),
         ok=all(s.is_zero for s in sym_flat),
     )
@@ -350,32 +344,24 @@ def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
     report.add(
         "force-bracket-position-only",
         "{q_k, {q_i, F_j}} must vanish, so {q_i, F_j} depends on (q, t) alone",
-        [_joined(g[i][j] for i in range(3) for j in range(3))],
-        _joined(sorted({str(p) for p in pos_only}, key=lambda s: (s != "0", s))),
+        [g_text],
+        _joined_distinct(pos_only),
         ok=all(p.is_zero for p in pos_only),
     )
-    dual = []
-    for s in (1, 2, 3):
-        acc = ZERO
-        for (a, b, c), sign in _EPS_SIGN.items():
-            if a == s:
-                acc = acc + ex.rational(sign) * g[b - 1][c - 1]
-        dual.append(-(M_SYM * C_SYM / (2 * E_SYM)) * acc)
+    dual = [-(M_SYM * C_SYM / (2 * E_SYM)) * d for d in ex._axial_dual(g)]
     report.add(
         "force-bracket-dual-form",
         "axial-vector dual of the antisymmetric tensor: "
         "B_s = -(mc/2e) eps_sij {q_i, F_j}",
-        [_joined(g[i][j] for i in range(3) for j in range(3))],
+        [g_text],
         _joined(dual),
     )
-    recon = []
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            acc = g[i - 1][j - 1]
-            for (a, b, c), sign in _EPS_SIGN.items():
-                if (a, b) == (i, j):
-                    acc = acc + ex.rational(sign) * (E_SYM / (M_SYM * C_SYM)) * dual[c - 1]
-            recon.append(acc)
+    dual_tensor = ex._eps_matrix(dual)
+    recon = [
+        g[i][j] + (E_SYM / (M_SYM * C_SYM)) * dual_tensor[i][j]
+        for i in range(3)
+        for j in range(3)
+    ]
     report.add(
         "force-bracket-dual-reconstruction",
         "{q_i, F_j} + (e/mc) eps_ijk B_k must vanish for the dual pair",
@@ -398,78 +384,39 @@ def verify_E_bracket(force: Optional[Sequence[Expr]] = None) -> DerivationReport
                 "with opaque E and B"
             )
     report = DerivationReport("E-bracket", {})
-    velocity_term = [[ZERO] * 3 for _ in range(3)]
-    field_term = [[ZERO] * 3 for _ in range(3)]
+    b_vec = _field_vector("B")
+    v_vec = [v(a) for a in (1, 2, 3)]
+    vel_flat, fld_flat = [], []  # row-major in (i, j)
     for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for (a, b, c), sign in _EPS_SIGN.items():
-                if a != j:
-                    continue
-                pref = ex.rational(sign) * (E_SYM / C_SYM)
-                velocity_term[i - 1][j - 1] = (
-                    velocity_term[i - 1][j - 1]
-                    + pref * bracket(q(i), v(b)) * field_component("B", c)
-                )
-                field_term[i - 1][j - 1] = (
-                    field_term[i - 1][j - 1]
-                    + pref * v(b) * bracket(q(i), field_component("B", c))
-                )
-    expected_vel = [
-        [
-            sum(
-                (
-                    ex.rational(sign) * (E_SYM / (M_SYM * C_SYM)) * field_component("B", c)
-                    for (a, b, c), sign in _EPS_SIGN.items()
-                    if (a, b) == (j, i)
-                ),
-                start=ZERO,
-            )
-            for j in (1, 2, 3)
-        ]
-        for i in (1, 2, 3)
-    ]
-    vel_flat = [velocity_term[i][j] for i in range(3) for j in range(3)]
+        q_v = [bracket(q(i), va) for va in v_vec]
+        q_b = [bracket(q(i), bk) for bk in b_vec]
+        vel_flat += [(E_SYM / C_SYM) * c for c in ex._cross(q_v, b_vec)]
+        fld_flat += [(E_SYM / C_SYM) * c for c in ex._cross(v_vec, q_b)]
+    expected = [entry for row in _field_dual_tensor() for entry in row]
     report.add(
         "electric-expansion-velocity-term",
         "(e/c) eps_jak {q_i, v_a} B_k reduces by the position-velocity rule "
         "to (e/mc) eps_jik B_k",
         [_joined(ansatz)],
         _joined(vel_flat),
-        ok=all(
-            velocity_term[i][j] == expected_vel[i][j]
-            for i in range(3)
-            for j in range(3)
-        ),
+        ok=vel_flat == expected,
     )
-    fld_flat = [field_term[i][j] for i in range(3) for j in range(3)]
     report.add(
         "electric-expansion-field-term",
         "(e/c) eps_jak v_a {q_i, B_k} vanishes because B depends on (q, t) alone",
         [_joined(ansatz)],
-        _joined(sorted({str(p) for p in fld_flat}, key=lambda s: (s != "0", s))),
+        _joined_distinct(fld_flat),
         ok=all(p.is_zero for p in fld_flat),
     )
-    solved = [[ZERO] * 3 for _ in range(3)]
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            target = sum(
-                (
-                    -ex.rational(sign) * (E_SYM / (M_SYM * C_SYM)) * field_component("B", c)
-                    for (a, b, c), sign in _EPS_SIGN.items()
-                    if (a, b) == (i, j)
-                ),
-                start=ZERO,
-            )
-            solved[i - 1][j - 1] = (
-                target - velocity_term[i - 1][j - 1] - field_term[i - 1][j - 1]
-            ) / E_SYM
-    solved_flat = [solved[i][j] for i in range(3) for j in range(3)]
+    solved_flat = [
+        (want - vel - fld) / E_SYM for want, vel, fld in zip(expected, vel_flat, fld_flat)
+    ]
     report.add(
         "electric-bracket-vanishes",
         "matching the expansion against the dual form leaves e {q_i, E_j} = 0, "
         "so E depends on (q, t) alone",
         [_joined(vel_flat)],
-        _joined(sorted({str(p) for p in solved_flat}, key=lambda s: (s != "0", s))),
+        _joined_distinct(solved_flat),
         ok=all(p.is_zero for p in solved_flat),
     )
     return report
@@ -639,20 +586,7 @@ def run_chain(
     anti = derive_qF_antisymmetry(ansatz)
     report.steps.extend(anti.steps)
 
-    g_expected = [
-        [
-            sum(
-                (
-                    -ex.rational(sign) * (E_SYM / (M_SYM * C_SYM)) * field_component("B", c)
-                    for (a, b, c), sign in _EPS_SIGN.items()
-                    if (a, b) == (i, j)
-                ),
-                start=ZERO,
-            )
-            for j in (1, 2, 3)
-        ]
-        for i in (1, 2, 3)
-    ]
+    g_expected = _field_dual_tensor()
     consistency = [
         bracket(q(i), ansatz[j - 1]) + M_SYM * bracket(v(i), v(j))
         for i in (1, 2, 3)
@@ -663,7 +597,7 @@ def run_chain(
         "differentiating m {q_i, v_j} = delta_ij in time gives "
         "{q_i, F_j} = -m {v_i, v_j} on shell",
         [_joined(ansatz)],
-        _joined(sorted({str(p) for p in consistency}, key=lambda s: (s != "0", s))),
+        _joined_distinct(consistency),
         ok=all(p.is_zero for p in consistency),
     )
     dual_matches = all(

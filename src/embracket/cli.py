@@ -9,7 +9,8 @@ simulate     integrate a trajectory and attach residual reports
 grid         central-difference Maxwell residuals on a cube
 duality      swap the fields and map the kinematic constraints
 
-Exit codes: 0 pass, 1 verified-and-failed, 2 usage or parse error.
+Exit codes: 0 pass, 1 verified-and-failed, 2 usage or parse error or an
+invalid numeric value.
 Reports are JSON with expressions serialized as canonical DSL strings;
 identical inputs produce byte-identical output.
 """
@@ -40,12 +41,14 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(report_dict: dict, summary_lines: list[str], args) -> None:
+def _emit(
+    report_dict: dict, summary_lines: list[str], as_json: bool, out: Optional[str]
+) -> None:
     payload = json.dumps(_round_floats(report_dict), indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(payload + "\n")
-    if args.json:
+    if as_json:
         print(payload)
     else:
         for line in summary_lines:
@@ -54,6 +57,14 @@ def _emit(report_dict: dict, summary_lines: list[str], args) -> None:
 
 def _bindings(args) -> nm.NumericBindings:
     return nm.NumericBindings(args.e, args.m, args.c)
+
+
+def _fields(args) -> tuple[ex.VectorField, ex.VectorField]:
+    """--field-E and --field-B, each zero when omitted."""
+    return tuple(
+        parse_vector_field(text) if text else ex.VectorField.zero()
+        for text in (args.field_E, args.field_B)
+    )
 
 
 def _parse_triple(text: str, what: str) -> list[float]:
@@ -75,7 +86,7 @@ def cmd_derive(args) -> int:
         verdict = {True: "pass", False: "fail", None: "symbolic"}[c.verdict]
         lines.append(f"constraint {c.name}: {c.expr} = 0 [{verdict}]")
     lines.append(f"derivation chain: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report.to_json_dict(), lines, args)
+    _emit(report.to_json_dict(), lines, args.json, args.out)
     return PASS if report.passed else FAIL
 
 
@@ -98,7 +109,7 @@ def cmd_check(args) -> int:
         for c in report.conditions
     ]
     lines.append(f"potentiality: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report.to_json_dict(), lines, args)
+    _emit(report.to_json_dict(), lines, args.json, args.out)
     return PASS if report.passed else FAIL
 
 
@@ -111,11 +122,13 @@ def cmd_reconstruct(args) -> int:
             "error": "force is not potential",
             "report": err.report.to_json_dict(),
         }
-        _emit(payload, ["reconstruction: FAIL (force is not potential)"], args)
+        _emit(
+            payload, ["reconstruction: FAIL (force is not potential)"], args.json, args.out
+        )
         return FAIL
     except hh.PotentialConstructionError as err:
         payload = {"error": str(err)}
-        _emit(payload, [f"reconstruction: FAIL ({err})"], args)
+        _emit(payload, [f"reconstruction: FAIL ({err})"], args.json, args.out)
         return FAIL
     residual = hh.euler_lagrange_roundtrip(lag, force)
     ok = all(r.is_zero for r in residual)
@@ -128,18 +141,14 @@ def cmd_reconstruct(args) -> int:
         f"scalar potential: {lag.scalar_pot}",
         f"euler-lagrange round trip: {'PASS' if ok else 'FAIL'}",
     ]
-    _emit(payload, lines, args)
+    _emit(payload, lines, args.json, args.out)
     return PASS if ok else FAIL
 
 
 def cmd_simulate(args) -> int:
-    field_e = parse_vector_field(args.field_E) if args.field_E else ex.VectorField.zero()
-    field_b = parse_vector_field(args.field_B) if args.field_B else ex.VectorField.zero()
+    field_e, field_b = _fields(args)
     x0 = _parse_triple(args.x0, "--x0")
     v0 = _parse_triple(args.v0, "--v0")
-    if args.dt <= 0 or args.steps < 1:
-        print("simulate: need --dt > 0 and --steps >= 1", file=sys.stderr)
-        return USAGE
     bindings = _bindings(args)
     state = nm.ParticleState(x0, v0)
     traj = nm.integrate(state, (field_e, field_b), args.dt, args.steps, args.method, bindings)
@@ -171,31 +180,14 @@ def cmd_simulate(args) -> int:
         payload["entries"] = [e.to_json_dict() for e in entries]
         for e in entries:
             lines.append(f"{e.name}: max {e.max:.3e} rms {e.rms:.3e}")
-    # emit after computing so --json prints one document
-    _emit(payload, lines, args if args.out is None else _NoOut(args))
+    # emit after computing so --json prints one document; --out named the CSV
+    _emit(payload, lines, args.json, None)
     return PASS
 
 
-class _NoOut:
-    """View of args with --out suppressed (the CSV already used the path)."""
-
-    def __init__(self, args):
-        self._args = args
-
-    def __getattr__(self, name):
-        if name == "out":
-            return None
-        return getattr(self._args, name)
-
-
 def cmd_grid(args) -> int:
-    field_e = parse_vector_field(args.field_E) if args.field_E else ex.VectorField.zero()
-    field_b = parse_vector_field(args.field_B) if args.field_B else ex.VectorField.zero()
-    try:
-        grid = nm.GridSpec(args.extent, args.n, args.t0)
-    except ValueError as err:
-        print(f"grid: {err}", file=sys.stderr)
-        return USAGE
+    field_e, field_b = _fields(args)
+    grid = nm.GridSpec(args.extent, args.n, args.t0)
     report = nm.maxwell_grid_residuals((field_e, field_b), grid, _bindings(args))
     payload = report.to_json_dict()
     payload["n"] = args.n
@@ -204,13 +196,12 @@ def cmd_grid(args) -> int:
         f"{e.name}: max {e.max:.6e} rms {e.rms:.6e} (h={e.h:.4g})"
         for e in report.entries
     ]
-    _emit(payload, lines, args)
+    _emit(payload, lines, args.json, args.out)
     return PASS
 
 
 def cmd_duality(args) -> int:
-    field_e = parse_vector_field(args.field_E) if args.field_E else ex.VectorField.zero()
-    field_b = parse_vector_field(args.field_B) if args.field_B else ex.VectorField.zero()
+    field_e, field_b = _fields(args)
     new_e, new_b = hh.duality_transform(field_e, field_b)
     div_b = div_b_expression()
     faraday = faraday_expression()
@@ -235,7 +226,7 @@ def cmd_duality(args) -> int:
         f"E -> {new_e}",
         f"B -> {new_b}",
     ] + [f"{m['name']}: {m['to']} = 0" for m in mapping]
-    _emit(payload, lines, args)
+    _emit(payload, lines, args.json, args.out)
     return PASS
 
 
@@ -340,6 +331,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return USAGE
+    except ValueError as err:
+        # invalid numeric values: non-finite states, m <= 0, dt <= 0, too few steps
+        print(f"{args.command}: {err}", file=sys.stderr)
         return USAGE
 
 

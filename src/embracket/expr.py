@@ -461,6 +461,22 @@ def _rename_dummies_apart(term: Term, taken: set[str]) -> Term:
     return (coeff, cpow, tuple(_rename_atom(a, mapping) for a in atoms))
 
 
+def _term_pairs(a: "Expr", b: "Expr"):
+    """Every pair of terms of a and b as (coeff, cpow, atoms_a, atoms_b).
+
+    Summed indices are renamed apart so that only the free indices the two
+    factors share contract in their product.
+    """
+    for ta in a.terms:
+        for tb in b.terms:
+            names_a = set(_name_counts(ta[2]))
+            names_b = set(_name_counts(tb[2]))
+            ta2 = _rename_dummies_apart(ta, names_b)
+            tb2 = _rename_dummies_apart(tb, names_a | set(_name_counts(ta2[2])))
+            cpow = tuple(x + y for x, y in zip(ta2[1], tb2[1]))
+            yield ta2[0] * tb2[0], cpow, ta2[2], tb2[2]
+
+
 class Expr:
     """An immutable symbolic expression in canonical form.
 
@@ -537,21 +553,9 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw: list[Term] = []
-        for ta in self.terms:
-            for tb in other.terms:
-                names_a = set(_name_counts(ta[2]))
-                names_b = set(_name_counts(tb[2]))
-                ta2 = _rename_dummies_apart(ta, names_b)
-                tb2 = _rename_dummies_apart(tb, names_a | set(_name_counts(ta2[2])))
-                raw.append(
-                    (
-                        ta2[0] * tb2[0],
-                        tuple(x + y for x, y in zip(ta2[1], tb2[1])),
-                        ta2[2] + tb2[2],
-                    )
-                )
-        return Expr(tuple(raw))
+        return Expr(
+            tuple((c, p, aa + ab) for c, p, aa, ab in _term_pairs(self, other))
+        )
 
     __rmul__ = __mul__
 
@@ -615,10 +619,6 @@ ONE = Expr(((Fraction(1), (0, 0, 0), ()),), _canonical=True)
 # printing helpers
 
 
-def _idx_str(i: Index | None) -> str:
-    return str(i)
-
-
 def _dvar_str(dv: DVar) -> str:
     kind, idx = dv
     if kind == "t":
@@ -636,11 +636,11 @@ def _atom_str(atom: Atom) -> str:
             return f"{atom.kind}{atom.index}"
         return f"{atom.kind}[{atom.index}]"
     if isinstance(atom, Delta):
-        return f"delta({_idx_str(atom.a)},{_idx_str(atom.b)})"
+        return f"delta({atom.a},{atom.b})"
     if isinstance(atom, Eps):
-        return f"eps({_idx_str(atom.a)},{_idx_str(atom.b)},{_idx_str(atom.c)})"
+        return f"eps({atom.a},{atom.b},{atom.c})"
     if isinstance(atom, Field):
-        base = f"{atom.family}[{_idx_str(atom.index)}]"
+        base = f"{atom.family}[{atom.index}]"
         if not atom.derivs:
             return base
         return "d(" + ",".join([base] + [_dvar_str(d) for d in atom.derivs]) + ")"
@@ -700,8 +700,9 @@ M_SYM = _const(0, 1, 0)
 C_SYM = _const(0, 0, 1)
 
 
-def _atom_expr(atom: Atom) -> Expr:
-    return Expr(((Fraction(1), (0, 0, 0), (atom,)),))
+def _atom_expr(*atoms: Atom) -> Expr:
+    """The product of the given atoms with unit coefficient."""
+    return Expr(((Fraction(1), (0, 0, 0), atoms),))
 
 
 def q(i: Index) -> Expr:
@@ -978,16 +979,25 @@ def _apply_derivs(component: Expr, derivs: tuple) -> Expr:
     return result
 
 
-def phase_space(expr: Expr) -> Expr:
-    """Rename x_i -> q_i (move a field-space polynomial onto the trajectory)."""
+def _rename_coordinates(expr: Expr, old: str, new: str) -> Expr:
     raw = []
     for coeff, cpow, atoms in expr.terms:
         new_atoms = tuple(
-            Var("q", a.index) if isinstance(a, Var) and a.kind == "x" else a
+            Var(new, a.index) if isinstance(a, Var) and a.kind == old else a
             for a in atoms
         )
         raw.append((coeff, cpow, new_atoms))
     return Expr(tuple(raw))
+
+
+def phase_space(expr: Expr) -> Expr:
+    """Rename x_i -> q_i (move a field-space polynomial onto the trajectory)."""
+    return _rename_coordinates(expr, "x", "q")
+
+
+def _field_space(expr: Expr) -> Expr:
+    """Rename q_i -> x_i, the inverse of :func:`phase_space`."""
+    return _rename_coordinates(expr, "q", "x")
 
 
 def map_field_families(expr: Expr, mapping: Mapping[str, tuple[str, int]]) -> Expr:
@@ -1005,6 +1015,45 @@ def map_field_families(expr: Expr, mapping: Mapping[str, tuple[str, int]]) -> Ex
                 new_atoms.append(atom)
         raw.append((coeff * sign, cpow, tuple(new_atoms)))
     return Expr(tuple(raw))
+
+
+# ---------------------------------------------------------------------------
+# Levi-Civita contractions of three-component sequences
+
+
+def _axial_dual(matrix) -> tuple[Expr, Expr, Expr]:
+    """axial_dual(M)_k = eps_kij M_ij for a 3x3 nested sequence.
+
+    Only the off-diagonal entries are read.
+    """
+    out = [ZERO, ZERO, ZERO]
+    for (k, i, j), sign in _EPS_SIGN.items():
+        entry = matrix[i - 1][j - 1]
+        out[k - 1] = out[k - 1] + (entry if sign > 0 else -entry)
+    return tuple(out)  # type: ignore[return-value]
+
+
+def _cross(u, w) -> tuple[Expr, Expr, Expr]:
+    """cross(u, w)_i = eps_ijk u_j w_k."""
+    return _axial_dual(
+        [[u[j] * w[k] if j != k else ZERO for k in range(3)] for j in range(3)]
+    )
+
+
+def _eps_matrix(w) -> tuple[tuple[Expr, ...], ...]:
+    """eps_matrix(w)_ij = eps_ijk w_k, the antisymmetric tensor dual to w."""
+    out = [[ZERO] * 3 for _ in range(3)]
+    for (i, j, k), sign in _EPS_SIGN.items():
+        out[i - 1][j - 1] = w[k - 1] if sign > 0 else -w[k - 1]
+    return tuple(tuple(row) for row in out)
+
+
+def _lorentz(e_vec, b_vec) -> tuple[Expr, Expr, Expr]:
+    """e E_i + (e/c) eps_ijk v_j B_k for three-component E and B."""
+    v_cross_b = _cross([v(i) for i in SPATIAL_RANGE], b_vec)
+    return tuple(
+        E_SYM * e_i + (E_SYM / C_SYM) * vb_i for e_i, vb_i in zip(e_vec, v_cross_b)
+    )  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -1085,16 +1134,11 @@ def divergence(vf: VectorField) -> Expr:
 
 
 def curl(vf: VectorField) -> VectorField:
-    comps = []
-    for i in SPATIAL_RANGE:
-        acc = ZERO
-        for j in SPATIAL_RANGE:
-            for k in SPATIAL_RANGE:
-                sign = _EPS_SIGN.get((i, j, k))
-                if sign:
-                    acc = acc + rational(sign) * partial(vf[k - 1], ("x", j))
-        comps.append(acc)
-    return VectorField(comps)
+    grads = [
+        [partial(vf[k], ("x", j + 1)) if j != k else ZERO for k in range(3)]
+        for j in range(3)
+    ]
+    return VectorField(_axial_dual(grads))
 
 
 def gradient(scalar: Expr) -> VectorField:

@@ -42,12 +42,6 @@ from .expr import (
     x,
 )
 
-_EPS_SIGN = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1,
-}
-
-
 class NotVariationalError(Exception):
     """The force fails the potentiality conditions; carries the report."""
 
@@ -102,17 +96,9 @@ class ForceLaw:
         potential: Optional[Expr] = None,
     ) -> "ForceLaw":
         """e E + (e/c) v x B built from concrete fields, moved onto the trajectory."""
-        e_q = field_E.to_phase()
-        b_q = field_B.to_phase()
-        comps = []
-        for i in (1, 2, 3):
-            f = E_SYM * e_q[i - 1]
-            for (a, b, c), sign in _EPS_SIGN.items():
-                if a == i:
-                    f = f + rational(sign) * (E_SYM / C_SYM) * v(b) * b_q[c - 1]
-            comps.append(f)
+        comps = ex._lorentz(field_E.to_phase(), field_B.to_phase())
         pot = phase_space(potential) if potential is not None else None
-        return cls(tuple(comps), pot)
+        return cls(comps, pot)
 
     def total_components(self) -> tuple[Expr, Expr, Expr]:
         if self.potential is None:
@@ -201,6 +187,18 @@ class HelmholtzReport:
         }
 
 
+def _affine_split(comps) -> tuple[tuple[tuple[Expr, ...], ...], tuple[Expr, ...]]:
+    """a_ij = dF_i/dv_j and b_i = F_i - a_ij v_j."""
+    a = tuple(
+        tuple(partial(comps[i - 1], ("v", j)) for j in (1, 2, 3)) for i in (1, 2, 3)
+    )
+    b = tuple(
+        comps[i - 1] - sum((a[i - 1][j - 1] * v(j) for j in (1, 2, 3)), start=ZERO)
+        for i in (1, 2, 3)
+    )
+    return a, b
+
+
 def _nonzero(name: str, entries) -> ConditionResult:
     return ConditionResult(
         name, tuple((idx, value) for idx, value in entries if not value.is_zero)
@@ -244,12 +242,7 @@ def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
 
     affine_anti = affine_cyc = affine_time = None
     if linearity.passed:
-        a = [[partial(comps[i - 1], ("v", j)) for j in (1, 2, 3)] for i in (1, 2, 3)]
-        b = [
-            comps[i - 1]
-            - sum((a[i - 1][j - 1] * v(j) for j in (1, 2, 3)), start=ZERO)
-            for i in (1, 2, 3)
-        ]
+        a, b = _affine_split(comps)
         anti = [
             ((i, j), a[i - 1][j - 1] + a[j - 1][i - 1])
             for i, j in itertools.product((1, 2, 3), repeat=2)
@@ -306,16 +299,8 @@ def decompose(force: ForceLaw) -> AffineDecomposition:
         raise PotentialConstructionError(
             f"force is not affine in velocity at {idx}", witness
         )
-    comps = force.components
-    a = tuple(
-        tuple(partial(comps[i - 1], ("v", j)) for j in (1, 2, 3)) for i in (1, 2, 3)
-    )
-    b = tuple(
-        comps[i - 1] - sum((a[i - 1][j - 1] * v(j) for j in (1, 2, 3)), start=ZERO)
-        for i in (1, 2, 3)
-    )
-    deco = AffineDecomposition(a, b)
-    for orig, back in zip(comps, deco.reconstruct()):
+    deco = AffineDecomposition(*_affine_split(force.components))
+    for orig, back in zip(force.components, deco.reconstruct()):
         assert (orig - back).is_zero
     return deco
 
@@ -336,13 +321,8 @@ def identify_fields(
         sym = (deco.a[i - 1][j - 1] + deco.a[j - 1][i - 1]) / 2
         if not sym.is_zero:
             raise SymmetricPartError(sym, (i, j))
-    b_field = []
-    for k in (1, 2, 3):
-        acc = ZERO
-        for (a, b, c), sign in _EPS_SIGN.items():
-            if a == k:
-                acc = acc + rational(sign) * deco.a[c - 1][b - 1]
-        b_field.append(-(C_SYM / (2 * E_SYM)) * acc)
+    transposed = tuple(zip(*deco.a))
+    b_field = [-(C_SYM / (2 * E_SYM)) * d for d in ex._axial_dual(transposed)]
     e_field = tuple(bi / E_SYM for bi in deco.b)
     return tuple(e_field), tuple(b_field)
 
@@ -377,14 +357,8 @@ def poincare_vector_potential(field_B: VectorField) -> VectorField:
     div_b = divergence(field_B)
     if not div_b.is_zero:
         raise PotentialConstructionError("magnetic field has nonzero divergence", div_b)
-    comps = []
-    for i in (1, 2, 3):
-        acc = ZERO
-        for (a, b, c), sign in _EPS_SIGN.items():
-            if a == i:
-                acc = acc + rational(sign) * _scale_degree_integral(field_B[b - 1], 2) * x(c)
-        comps.append(acc)
-    result = VectorField(comps)
+    weighted = [_scale_degree_integral(b_i, 2) for b_i in field_B]
+    result = VectorField(ex._cross(weighted, [x(i) for i in (1, 2, 3)]))
     residual = [ci - bi for ci, bi in zip(curl(result), field_B)]
     assert all(r.is_zero for r in residual)
     return result
@@ -456,17 +430,6 @@ def _require_concrete(parts, what: str) -> None:
             )
 
 
-def _field_space(component: Expr) -> Expr:
-    raw = []
-    for coeff, cpow, atoms in component.terms:
-        new_atoms = tuple(
-            ex.Var("x", a.index) if isinstance(a, ex.Var) and a.kind == "q" else a
-            for a in atoms
-        )
-        raw.append((coeff, cpow, new_atoms))
-    return Expr(tuple(raw))
-
-
 def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     """Rebuild L = m v^2/2 + (e/c) v.A - e A0 - U for a potential force.
 
@@ -480,8 +443,8 @@ def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     deco = decompose(force)
     e_q, b_q = identify_fields(deco)
     _require_concrete(e_q + b_q, "identified field")
-    field_e = VectorField(tuple(_field_space(c) for c in e_q))
-    field_b = VectorField(tuple(_field_space(c) for c in b_q))
+    field_e = VectorField(tuple(ex._field_space(c) for c in e_q))
+    field_b = VectorField(tuple(ex._field_space(c) for c in b_q))
     vec_pot = poincare_vector_potential(field_b)
     a0 = scalar_potential(field_e, vec_pot)
 

@@ -129,9 +129,6 @@ class ResidualReport:
                 return e
         raise KeyError(name)
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def to_json_dict(self) -> dict:
         return {"entries": [e.to_json_dict() for e in self.entries]}
 
@@ -143,6 +140,10 @@ def _norms(values) -> tuple[float, float]:
     return float(np.max(np.abs(flat))), float(
         math.sqrt(math.fsum(float(x) * float(x) for x in flat) / flat.size)
     )
+
+
+def _entry(name: str, values, h: float) -> ResidualEntry:
+    return ResidualEntry(name, *_norms(values), h)
 
 
 def convergence_order(
@@ -188,7 +189,6 @@ class CompiledExpr:
                 slots.append(_SLOTS[key])
             table.append((float(coeff), cpow, tuple(slots)))
         self.table = tuple(table)
-        self.uses_velocity = any(s in (3, 4, 5) for _, _, slots in table for s in slots)
 
     def __call__(self, position, velocity, time, bindings: NumericBindings):
         values = [
@@ -226,34 +226,29 @@ def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time
     return CompiledExpr(expr)(pos, vel, tval, bindings)
 
 
-class FieldEvaluator:
-    """Compiled (E, B) pair returning 3-vectors at (r, t)."""
+def _compile_field(vf: VectorField, bindings: NumericBindings):
+    """Compile a vector field once into a function (r, t) -> 3-vector."""
+    comps = [CompiledExpr(comp) for comp in vf]
 
-    def __init__(self, field_E: VectorField, field_B: VectorField, bindings: NumericBindings):
-        self.e_comps = [CompiledExpr(comp) for comp in field_E]
-        self.b_comps = [CompiledExpr(comp) for comp in field_B]
-        self.bindings = bindings
+    def at(r, t: float) -> np.ndarray:
+        return np.array([f(r, None, t, bindings) for f in comps])
 
-    def E(self, r, t: float) -> np.ndarray:
-        return np.array([f(r, None, t, self.bindings) for f in self.e_comps])
-
-    def B(self, r, t: float) -> np.ndarray:
-        return np.array([f(r, None, t, self.bindings) for f in self.b_comps])
+    return at
 
 
 # ---------------------------------------------------------------------------
 # integrators
 
 
-def _boris_step(r, v, t, h, fields: FieldEvaluator, bindings: NumericBindings):
+def _boris_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
     # drift-kick-drift: half position drift, Boris velocity update with the
     # fields at the midpoint, half drift; time-symmetric, hence second order
     # with synchronized states, and exactly norm-preserving when E = 0.
     r_half = r + 0.5 * h * v
     t_half = t + 0.5 * h
     half_acc = (bindings.e * h) / (2.0 * bindings.m)
-    e_val = fields.E(r_half, t_half)
-    b_val = fields.B(r_half, t_half)
+    e_val = e_at(r_half, t_half)
+    b_val = b_at(r_half, t_half)
     v_minus = v + half_acc * e_val
     tvec = (bindings.e * h / (2.0 * bindings.m * bindings.c)) * b_val
     v_prime = v_minus + np.cross(v_minus, tvec)
@@ -263,20 +258,20 @@ def _boris_step(r, v, t, h, fields: FieldEvaluator, bindings: NumericBindings):
     return r_half + 0.5 * h * v_new, v_new, t + h
 
 
-def _accel(r, v, t, fields: FieldEvaluator, bindings: NumericBindings):
+def _accel(r, v, t, e_at, b_at, bindings: NumericBindings):
     return (bindings.e / bindings.m) * (
-        fields.E(r, t) + np.cross(v, fields.B(r, t)) / bindings.c
+        e_at(r, t) + np.cross(v, b_at(r, t)) / bindings.c
     )
 
 
-def _rk4_step(r, v, t, h, fields: FieldEvaluator, bindings: NumericBindings):
-    k1r, k1v = v, _accel(r, v, t, fields, bindings)
+def _rk4_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
+    k1r, k1v = v, _accel(r, v, t, e_at, b_at, bindings)
     k2r = v + 0.5 * h * k1v
-    k2v = _accel(r + 0.5 * h * k1r, k2r, t + 0.5 * h, fields, bindings)
+    k2v = _accel(r + 0.5 * h * k1r, k2r, t + 0.5 * h, e_at, b_at, bindings)
     k3r = v + 0.5 * h * k2v
-    k3v = _accel(r + 0.5 * h * k2r, k3r, t + 0.5 * h, fields, bindings)
+    k3v = _accel(r + 0.5 * h * k2r, k3r, t + 0.5 * h, e_at, b_at, bindings)
     k4r = v + h * k3v
-    k4v = _accel(r + h * k3r, k4r, t + h, fields, bindings)
+    k4v = _accel(r + h * k3r, k4r, t + h, e_at, b_at, bindings)
     r_new = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
     v_new = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
     return r_new, v_new, t + h
@@ -296,12 +291,7 @@ def step_boris(
 
     With E = 0 the rotation preserves the speed exactly up to rounding.
     """
-    bindings = bindings or NumericBindings()
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    ev = FieldEvaluator(fields[0], fields[1], bindings)
-    r, v, t = _boris_step(state.r, state.v, state.t, h, ev, bindings)
-    return ParticleState(r, v, t)
+    return integrate(state, fields, h, 1, "boris", bindings).state(1)
 
 
 def step_rk4(
@@ -311,12 +301,7 @@ def step_rk4(
     bindings: Optional[NumericBindings] = None,
 ) -> ParticleState:
     """One classical fourth-order step of the same equations of motion."""
-    bindings = bindings or NumericBindings()
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    ev = FieldEvaluator(fields[0], fields[1], bindings)
-    r, v, t = _rk4_step(state.r, state.v, state.t, h, ev, bindings)
-    return ParticleState(r, v, t)
+    return integrate(state, fields, h, 1, "rk4", bindings).state(1)
 
 
 def integrate(
@@ -334,14 +319,14 @@ def integrate(
     if not h > 0 or steps < 1:
         raise ValueError("need h > 0 and steps >= 1")
     stepper = _STEPPERS[method]
-    ev = FieldEvaluator(fields[0], fields[1], bindings)
+    e_at, b_at = (_compile_field(vf, bindings) for vf in fields)
     times = np.empty(steps + 1)
     positions = np.empty((steps + 1, 3))
     velocities = np.empty((steps + 1, 3))
     r, v, t = state.r.copy(), state.v.copy(), state.t
     times[0], positions[0], velocities[0] = t, r, v
     for k in range(1, steps + 1):
-        r, v, t = stepper(r, v, state.t + (k - 1) * h, h, ev, bindings)
+        r, v, t = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
         t = state.t + k * h  # uniform grid, no accumulated rounding
         times[k], positions[k], velocities[k] = t, r, v
     return Trajectory(times, positions, velocities, h, method)
@@ -393,8 +378,7 @@ def el_residual(
     dl_dq = np.stack([sample(f) for f in gradients], axis=1)
     dp_dt = (p[2:] - p[:-2]) / (2.0 * traj.h)
     residual = dp_dt - dl_dq[1:-1]
-    mx, rms = _norms(residual)
-    return ResidualReport([ResidualEntry("euler-lagrange", mx, rms, traj.h)])
+    return ResidualReport([_entry("euler-lagrange", residual, traj.h)])
 
 
 def energy_check(
@@ -423,8 +407,7 @@ def energy_check(
     h0 = float(h_series[0])
     scale = abs(h0) if abs(h0) > 1e-300 else 1.0
     drift = np.abs(h_series - h0) / scale
-    mx, rms = _norms(drift)
-    return ResidualReport([ResidualEntry("energy-drift", mx, rms, traj.h)])
+    return ResidualReport([_entry("energy-drift", drift, traj.h)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +431,23 @@ def canonical_bracket_check(
     bindings = bindings or NumericBindings()
     field_E, field_B = fields
     vec_pot, _ = potentials
-    a_comps = [CompiledExpr(comp) for comp in vec_pot]
+    a_at = _compile_field(vec_pot, bindings)
     t0 = state.t
 
-    def a_val(r):
-        return np.array([f(r, None, t0, bindings) for f in a_comps])
-
     def v_of(r, p, j):
-        return (p[j] - (bindings.e / bindings.c) * a_val(r)[j]) / bindings.m
+        return (p[j] - (bindings.e / bindings.c) * a_at(r, t0)[j]) / bindings.m
 
-    p0 = bindings.m * state.v + (bindings.e / bindings.c) * a_val(state.r)
+    p0 = bindings.m * state.v + (bindings.e / bindings.c) * a_at(state.r, t0)
 
     def fd_bracket(f, g):
         total = 0.0
         for k in range(3):
-            dr = np.zeros(3)
-            dr[k] = fd_step
-            dp = np.zeros(3)
-            dp[k] = fd_step
-            df_dr = (f(state.r + dr, p0) - f(state.r - dr, p0)) / (2 * fd_step)
-            dg_dp = (g(state.r, p0 + dp) - g(state.r, p0 - dp)) / (2 * fd_step)
-            df_dp = (f(state.r, p0 + dp) - f(state.r, p0 - dp)) / (2 * fd_step)
-            dg_dr = (g(state.r + dr, p0) - g(state.r - dr, p0)) / (2 * fd_step)
+            d = np.zeros(3)  # the same offset along r_k and p_k
+            d[k] = fd_step
+            df_dr = (f(state.r + d, p0) - f(state.r - d, p0)) / (2 * fd_step)
+            dg_dp = (g(state.r, p0 + d) - g(state.r, p0 - d)) / (2 * fd_step)
+            df_dp = (f(state.r, p0 + d) - f(state.r, p0 - d)) / (2 * fd_step)
+            dg_dr = (g(state.r + d, p0) - g(state.r - d, p0)) / (2 * fd_step)
             total += df_dr * dg_dp - df_dp * dg_dr
         return total
 
@@ -487,12 +465,9 @@ def canonical_bracket_check(
                 offdiag_err.append(abs(got))
             qq = fd_bracket(lambda r, p, i=i: r[i], lambda r, p, j=j: r[j])
             qq_err.append(abs(qq))
-    mx, rms = _norms(diag_err)
-    entries.append(ResidualEntry("position-velocity-diagonal", mx, rms, fd_step))
-    mx, rms = _norms(offdiag_err)
-    entries.append(ResidualEntry("position-velocity-offdiagonal", mx, rms, fd_step))
-    mx, rms = _norms(qq_err)
-    entries.append(ResidualEntry("position-position", mx, rms, fd_step))
+    entries.append(_entry("position-velocity-diagonal", diag_err, fd_step))
+    entries.append(_entry("position-velocity-offdiagonal", offdiag_err, fd_step))
+    entries.append(_entry("position-position", qq_err, fd_step))
 
     vv_err = []
     for i in range(3):
@@ -505,8 +480,7 @@ def canonical_bracket_check(
             expected = float(evaluate(bound, state.r, bindings, time=t0))
             scale = max(abs(expected), 1.0)
             vv_err.append(abs(got - expected) / scale)
-    mx, rms = _norms(vv_err)
-    entries.append(ResidualEntry("velocity-velocity", mx, rms, fd_step))
+    entries.append(_entry("velocity-velocity", vv_err, fd_step))
     return ResidualReport(entries)
 
 
@@ -568,24 +542,20 @@ def maxwell_grid_residuals(
         ]
 
     entries = []
-    mx, rms = _norms(div_fd(b_vals))
-    entries.append(ResidualEntry("magnetic-divergence", mx, rms, h))
+    entries.append(_entry("magnetic-divergence", div_fd(b_vals), h))
 
     curl_e = curl_fd(e_vals)
     faraday = [
         curl_e[k] + _interior(db_dt[k]) / bindings.c for k in range(3)
     ]
-    mx, rms = _norms(faraday)
-    entries.append(ResidualEntry("faraday-induction", mx, rms, h))
+    entries.append(_entry("faraday-induction", faraday, h))
 
     div_e = div_fd(e_vals)
     if charge_density is not None:
         rho = _interior(sample(charge_density))
-        mx, rms = _norms(div_e - rho)
-        entries.append(ResidualEntry("gauss-electric", mx, rms, h))
+        entries.append(_entry("gauss-electric", div_e - rho, h))
     else:
-        mx, rms = _norms(div_e)
-        entries.append(ResidualEntry("implied-charge-density", mx, rms, h))
+        entries.append(_entry("implied-charge-density", div_e, h))
 
     curl_b = curl_fd(b_vals)
     if current_density is not None:
@@ -594,12 +564,10 @@ def maxwell_grid_residuals(
             curl_b[k] - (j_vals[k] + _interior(de_dt[k])) / bindings.c
             for k in range(3)
         ]
-        mx, rms = _norms(ampere)
-        entries.append(ResidualEntry("ampere-maxwell", mx, rms, h))
+        entries.append(_entry("ampere-maxwell", ampere, h))
     else:
         implied = [
             bindings.c * curl_b[k] - _interior(de_dt[k]) for k in range(3)
         ]
-        mx, rms = _norms(implied)
-        entries.append(ResidualEntry("implied-current-density", mx, rms, h))
+        entries.append(_entry("implied-current-density", implied, h))
     return ResidualReport(entries)

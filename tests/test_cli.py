@@ -190,6 +190,22 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--dt", "0.1", "--steps", "3"),
+            ("simulate", "--v0", "nan,0,0", "--dt", "0.1", "--steps", "10"),
+            ("simulate", "--dt", "nan", "--steps", "10"),
+            ("simulate", "--m", "0", "--dt", "0.1", "--steps", "10"),
+            ("grid", "--m", "0"),
+        ],
+    )
+    def test_invalid_value_exits_two(self, capsys, tmp_path, argv):
+        code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert len(stderr.splitlines()) == 1
+        assert "Traceback" not in stderr
+
 
 class TestGrid:
     def test_linear_field(self, capsys, tmp_path):

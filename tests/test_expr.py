@@ -31,6 +31,7 @@ from conftest import (
     delta_value,
     eps_value,
     random_concrete_expr,
+    random_polynomial,
 )
 
 
@@ -408,3 +409,56 @@ class TestVectorField:
     def test_static_detection(self):
         assert parse_vector_field("x1;0;0").is_static()
         assert not parse_vector_field("t*x1;0;0").is_static()
+
+
+class TestLeviCivitaHelpers:
+    """The shared eps contractions against brute sums over eps_value."""
+
+    @staticmethod
+    def vectors(seed):
+        rng = random.Random(seed)
+        return [random_polynomial(rng) for _ in range(3)], [
+            random_polynomial(rng) for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_axial_dual_inverts_eps_matrix(self, seed):
+        _, w = self.vectors(seed)
+        assert ex._axial_dual(ex._eps_matrix(w)) == tuple(2 * wk for wk in w)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_is_antisymmetric(self, seed):
+        u, w = self.vectors(seed)
+        assert ex._cross(u, w) == tuple(-c for c in ex._cross(w, u))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_against_brute_sums(self, seed):
+        u, w = self.vectors(seed)
+        cross = ex._cross(u, w)
+        matrix = ex._eps_matrix(w)
+        outer = [[a * b for b in w] for a in u]
+        dual = ex._axial_dual(outer)
+        r = (1, 2, 3)
+        for i in r:
+            brute_cross = sum(
+                (eps_value(i, j, k) * u[j - 1] * w[k - 1] for j in r for k in r),
+                start=ZERO,
+            )
+            assert cross[i - 1] == brute_cross
+            by_matrix = sum((matrix[i - 1][j - 1] * u[j - 1] for j in r), start=ZERO)
+            assert by_matrix == brute_cross
+            assert dual[i - 1] == sum(
+                (eps_value(i, j, k) * outer[j - 1][k - 1] for j in r for k in r),
+                start=ZERO,
+            )
+            for j in r:
+                assert matrix[i - 1][j - 1] == sum(
+                    (eps_value(i, j, k) * w[k - 1] for k in r), start=ZERO
+                )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coordinate_rename_round_trip(self, seed):
+        p = random_polynomial(random.Random(seed), max_degree=3, terms=4)
+        moved = ex.phase_space(p)
+        assert not moved.has_kind("x")
+        assert ex._field_space(moved) == p
