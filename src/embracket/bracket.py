@@ -98,14 +98,38 @@ def _bracket_atoms(a, b) -> Expr:
     return ZERO  # two (position, t)-functions commute
 
 
+# Keyed by alpha-normal atom pairs, so one-off fresh dummy names neither
+# miss the cache nor grow it.
 _mono_cache: dict[tuple, Expr] = {}
+
+
+def _alpha_normal(atoms_a: tuple, atoms_b: tuple) -> tuple[tuple, tuple]:
+    """Rename the pair's summed indices to ~s0, ~s1, ... in order of first appearance.
+
+    The bracket keeps every summed index of the pair summed in each term of
+    its canonical result, so the result does not depend on their names.
+    """
+    counts = ex._name_counts(atoms_a + atoms_b)
+    if 2 not in counts.values():
+        return atoms_a, atoms_b
+    summed = dict.fromkeys(
+        idx
+        for atom in atoms_a + atoms_b
+        for idx in ex._atom_indices(atom)
+        if counts.get(idx) == 2
+    )
+    names = (f"~s{n}" for n in itertools.count() if counts.get(f"~s{n}") != 1)
+    mapping = dict(zip(summed, names))
+    return tuple(
+        tuple(ex._rename_atom(a, mapping) for a in atoms) for atoms in (atoms_a, atoms_b)
+    )
 
 
 def _bracket_mono(atoms_a: tuple, atoms_b: tuple) -> Expr:
     """Bracket of two atom products, reduced by the Leibniz rule."""
     if not atoms_a or not atoms_b:
         return ZERO
-    key = (atoms_a, atoms_b)
+    atoms_a, atoms_b = key = _alpha_normal(atoms_a, atoms_b)
     cached = _mono_cache.get(key)
     if cached is not None:
         return cached

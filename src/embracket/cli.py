@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -31,20 +32,34 @@ from .dsl import ParseError, parse, parse_vector_field
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _round_floats(obj):
+def _round_floats(obj, nonfinite: list):
+    """Round floats to 12 digits; inf and nan become None and are listed in nonfinite."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            nonfinite.append(obj)
+            return None
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _round_floats(v, nonfinite) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
+        return [_round_floats(v, nonfinite) for v in obj]
     return obj
 
 
 def _emit(
-    report_dict: dict, summary_lines: list[str], as_json: bool, out: Optional[str]
-) -> None:
-    payload = json.dumps(_round_floats(report_dict), indent=2)
+    report_dict: dict,
+    summary_lines: list[str],
+    as_json: bool,
+    out: Optional[str],
+    passed: bool = True,
+) -> int:
+    """Print (and write) the report; the exit code fails a non-finite one too."""
+    nonfinite: list = []
+    report = _round_floats(report_dict, nonfinite)
+    if nonfinite:
+        report["finite"] = False
+        summary_lines = summary_lines + ["non-finite values in the report: FAIL"]
+    payload = json.dumps(report, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(payload + "\n")
@@ -53,6 +68,7 @@ def _emit(
     else:
         for line in summary_lines:
             print(line)
+    return PASS if passed and not nonfinite else FAIL
 
 
 def _bindings(args) -> nm.NumericBindings:
@@ -86,8 +102,7 @@ def cmd_derive(args) -> int:
         verdict = {True: "pass", False: "fail", None: "symbolic"}[c.verdict]
         lines.append(f"constraint {c.name}: {c.expr} = 0 [{verdict}]")
     lines.append(f"derivation chain: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report.to_json_dict(), lines, args.json, args.out)
-    return PASS if report.passed else FAIL
+    return _emit(report.to_json_dict(), lines, args.json, args.out, report.passed)
 
 
 def _force_from_args(args) -> hh.ForceLaw:
@@ -109,8 +124,7 @@ def cmd_check(args) -> int:
         for c in report.conditions
     ]
     lines.append(f"potentiality: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report.to_json_dict(), lines, args.json, args.out)
-    return PASS if report.passed else FAIL
+    return _emit(report.to_json_dict(), lines, args.json, args.out, report.passed)
 
 
 def cmd_reconstruct(args) -> int:
@@ -122,14 +136,18 @@ def cmd_reconstruct(args) -> int:
             "error": "force is not potential",
             "report": err.report.to_json_dict(),
         }
-        _emit(
-            payload, ["reconstruction: FAIL (force is not potential)"], args.json, args.out
+        return _emit(
+            payload,
+            ["reconstruction: FAIL (force is not potential)"],
+            args.json,
+            args.out,
+            passed=False,
         )
-        return FAIL
     except hh.PotentialConstructionError as err:
         payload = {"error": str(err)}
-        _emit(payload, [f"reconstruction: FAIL ({err})"], args.json, args.out)
-        return FAIL
+        return _emit(
+            payload, [f"reconstruction: FAIL ({err})"], args.json, args.out, passed=False
+        )
     residual = hh.euler_lagrange_roundtrip(lag, force)
     ok = all(r.is_zero for r in residual)
     payload = lag.to_json_dict()
@@ -141,8 +159,7 @@ def cmd_reconstruct(args) -> int:
         f"scalar potential: {lag.scalar_pot}",
         f"euler-lagrange round trip: {'PASS' if ok else 'FAIL'}",
     ]
-    _emit(payload, lines, args.json, args.out)
-    return PASS if ok else FAIL
+    return _emit(payload, lines, args.json, args.out, ok)
 
 
 def cmd_simulate(args) -> int:
@@ -153,10 +170,6 @@ def cmd_simulate(args) -> int:
     state = nm.ParticleState(x0, v0)
     traj = nm.integrate(state, (field_e, field_b), args.dt, args.steps, args.method, bindings)
     out_path = args.out or "trajectory.csv"
-    with open(out_path, "w") as fh:
-        for line in traj.csv_lines():
-            fh.write(line + "\n")
-
     payload: dict = {
         "method": args.method,
         "steps": args.steps,
@@ -165,6 +178,11 @@ def cmd_simulate(args) -> int:
         "entries": [],
     }
     lines = [f"trajectory: {len(traj)} states -> {out_path}"]
+    finite = traj.first_nonfinite is None
+    if not finite:
+        payload["finite"] = False
+        payload["first_nonfinite_step"] = traj.first_nonfinite
+        lines.append(f"trajectory: FAIL (first non-finite state at step {traj.first_nonfinite})")
     try:
         force = hh.ForceLaw.lorentz(field_e, field_b)
         lag = hh.reconstruct_lagrangian(force)
@@ -180,9 +198,12 @@ def cmd_simulate(args) -> int:
         payload["entries"] = [e.to_json_dict() for e in entries]
         for e in entries:
             lines.append(f"{e.name}: max {e.max:.3e} rms {e.rms:.3e}")
+    # the CSV only once the checks ran: a rejected input leaves no file
+    with open(out_path, "w") as fh:
+        for line in traj.csv_lines():
+            fh.write(line + "\n")
     # emit after computing so --json prints one document; --out named the CSV
-    _emit(payload, lines, args.json, None)
-    return PASS
+    return _emit(payload, lines, args.json, None, finite)
 
 
 def cmd_grid(args) -> int:
@@ -196,8 +217,7 @@ def cmd_grid(args) -> int:
         f"{e.name}: max {e.max:.6e} rms {e.rms:.6e} (h={e.h:.4g})"
         for e in report.entries
     ]
-    _emit(payload, lines, args.json, args.out)
-    return PASS
+    return _emit(payload, lines, args.json, args.out)
 
 
 def cmd_duality(args) -> int:
@@ -226,8 +246,7 @@ def cmd_duality(args) -> int:
         f"E -> {new_e}",
         f"B -> {new_b}",
     ] + [f"{m['name']}: {m['to']} = 0" for m in mapping]
-    _emit(payload, lines, args.json, args.out)
-    return PASS
+    return _emit(payload, lines, args.json, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +351,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except ValueError as err:
-        # invalid numeric values: non-finite states, m <= 0, dt <= 0, too few steps
+    except (ValueError, ex.ExprError) as err:
+        # invalid numeric values (non-finite states, m <= 0, dt <= 0, too few
+        # steps) and symbolic inputs the expression layer rejects
         print(f"{args.command}: {err}", file=sys.stderr)
         return USAGE
 

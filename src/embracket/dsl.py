@@ -9,6 +9,8 @@ Grammar (phase-space and field-space contexts)::
     var    := ('q'|'v'|'x')('1'|'2'|'3') | 't'
 
 Phase-space context admits q, v, t; field-space context admits x, t.
+Exponents are at most 64 in absolute value, so a short input cannot ask
+for an unbounded number of products.
 Vector fields are three expressions joined by ';'.
 
 The 'extended' context additionally accepts everything the canonical
@@ -43,6 +45,8 @@ class ParseError(Exception):
 
 
 _OPS = set("+-*/^()[],;")
+
+_MAX_EXPONENT = 64
 
 
 @dataclass
@@ -157,8 +161,13 @@ class _Parser:
             etok = self.next()
             if etok.kind != "int":
                 raise ParseError(etok.pos, "exponent must be an integer", etok.value or None)
+            digits = etok.value.lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+                raise ParseError(
+                    etok.pos, f"exponent larger than {_MAX_EXPONENT}", etok.value
+                )
             try:
-                return base ** (sign * int(etok.value))
+                return base ** (sign * int(digits))
             except ex.NonPolynomialError:
                 raise ParseError(
                     base_tok.pos, "negative powers only on rational/e/m/c constants"

@@ -16,6 +16,23 @@ Canonicalization
   epsilon sign),
 * collects like monomials with exact rational arithmetic.
 
+The minimal relabeling is found by an exact depth-first branch and bound
+rather than by trying all n! relabelings of n dummies.  The pool names are
+handed out in increasing order, and level d of the search decides which
+remaining dummy receives the d-th smallest name.  A node's lower bound
+renames every still-unassigned dummy to a sentinel just above the last name
+handed out (``name + "\\x00"``), then normalizes and sorts as for a leaf.
+Sorting the slots inside an atom and sorting the atoms are both monotone in
+the index values, so no completion of the node sorts below that bound.
+Children are visited in bound order and cut only when their bound exceeds
+the best key found so far.  A bound still holds a sentinel, so it never
+equals a complete key, and every minimizer stays in an uncut subtree: the
+signs of all minimizers decide whether the term vanishes by antisymmetry.
+A child is skipped when swapping its dummy with that of an already searched
+sibling of equal bound maps the term onto itself with the same sign, since
+the two subtrees then yield the same keys and signs.  With three or fewer
+dummies left their permutations are enumerated outright.
+
 Indices are either concrete (1, 2, 3) or symbolic names.  A symbolic index
 occurring twice in a monomial is summed per the Einstein convention; more
 than two occurrences raises :class:`IndexConventionError`.
@@ -385,40 +402,88 @@ def _dummy_pool(n: int, frees: set[str]) -> list[str]:
     return pool[:n]
 
 
+def _normalized(atoms: Iterable[Atom]) -> tuple[int, tuple]:
+    """Sort each atom's slots and then the atoms; return the epsilon parity too."""
+    sign = 1
+    norm = []
+    for a in atoms:
+        s, na = _normalize_atom(a)
+        sign *= s
+        norm.append(na)
+    norm.sort(key=lambda a: a.key())
+    return sign, tuple(norm)
+
+
+# With at most this many unassigned dummies left the search enumerates their
+# permutations outright: a bound costs as much as a leaf there.
+_DIRECT_DUMMIES = 3
+
+
 def _canonical_term(coeff: Fraction, cpow: tuple, atoms: Sequence[Atom]) -> Term | None:
-    """Relabel dummies, sort atoms, fix epsilon parity.  None means the term is 0."""
+    """Relabel dummies, sort atoms, fix epsilon parity.  None means the term is 0.
+
+    Branch and bound over the relabelings (see the module docstring): level
+    d decides which remaining dummy receives the d-th smallest pool name.
+    """
     counts = _name_counts(atoms)
     dummies = sorted(n for n, k in counts.items() if k == 2)
     frees = {n for n, k in counts.items() if k == 1}
 
-    def normalized(ats: Iterable[Atom]) -> tuple[int, tuple]:
-        sign = 1
-        norm = []
-        for a in ats:
-            s, na = _normalize_atom(a)
-            sign *= s
-            norm.append(na)
-        norm.sort(key=lambda a: a.key())
-        return sign, tuple(norm)
-
     if not dummies:
-        sign, norm = normalized(atoms)
+        sign, norm = _normalized(atoms)
         return (coeff * sign, cpow, norm)
 
-    pool = _dummy_pool(len(dummies), frees)
+    names = sorted(_dummy_pool(len(dummies), frees))
     best_key = None
     best_atoms = None
     best_signs: set[int] = set()
-    for perm in itertools.permutations(pool):
-        mapping = dict(zip(dummies, perm))
-        sign, norm = normalized(_rename_atom(a, mapping) for a in atoms)
-        key = tuple(a.key() for a in norm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_atoms = norm
-            best_signs = {sign}
-        elif key == best_key:
-            best_signs.add(sign)
+
+    def relabeled(mapping: Mapping[str, str]) -> tuple[int, tuple, tuple]:
+        sign, norm = _normalized(_rename_atom(a, mapping) for a in atoms)
+        return sign, norm, tuple(a.key() for a in norm)
+
+    unchanged = _normalized(atoms) if len(dummies) > _DIRECT_DUMMIES else None
+    swaps: dict[tuple, bool] = {}
+
+    def symmetric(x: str, y: str) -> bool:
+        """Swapping dummies x and y leaves the term unchanged, sign included."""
+        if (x, y) not in swaps:
+            swaps[x, y] = relabeled({x: y, y: x})[:2] == unchanged
+        return swaps[x, y]
+
+    def search(mapping: dict[str, str], left: list[str]) -> None:
+        nonlocal best_key, best_atoms, best_signs
+        depth = len(mapping)
+        if len(left) <= _DIRECT_DUMMIES:
+            for perm in itertools.permutations(names[depth:]):
+                sign, norm, key = relabeled({**mapping, **dict(zip(left, perm))})
+                if best_key is None or key < best_key:
+                    best_key, best_atoms, best_signs = key, norm, {sign}
+                elif key == best_key:
+                    best_signs.add(sign)
+            return
+        name = names[depth]
+        sentinel = name + "\x00"
+        children = []
+        for dummy in left:
+            child = {**mapping, dummy: name}
+            rest = [x for x in left if x != dummy]
+            bound = relabeled({**child, **dict.fromkeys(rest, sentinel)})[2]
+            children.append((bound, dummy, child, rest))
+        children.sort(key=lambda ch: ch[:2])
+        searched: list[tuple] = []
+        for bound, dummy, child, rest in children:
+            # a bound holds a sentinel, so it never ties a complete key: every
+            # minimizer, of either sign, stays in an uncut subtree
+            if best_key is not None and bound > best_key:
+                break
+            # a sibling that a symmetry of the term maps onto a searched one adds nothing
+            if any(b == bound and symmetric(x, dummy) for b, x in searched):
+                continue
+            searched.append((bound, dummy))
+            search(child, rest)
+
+    search({}, dummies)
     if len(best_signs) == 2:
         return None
     return (coeff * best_signs.pop(), cpow, best_atoms)

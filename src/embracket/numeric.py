@@ -58,6 +58,7 @@ class Trajectory:
     velocities: np.ndarray
     h: float
     method: str
+    first_nonfinite: Optional[int] = None  # index of the first state with inf or nan
 
     def __post_init__(self):
         n = len(self.times)
@@ -325,11 +326,19 @@ def integrate(
     velocities = np.empty((steps + 1, 3))
     r, v, t = state.r.copy(), state.v.copy(), state.t
     times[0], positions[0], velocities[0] = t, r, v
-    for k in range(1, steps + 1):
-        r, v, t = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
-        t = state.t + k * h  # uniform grid, no accumulated rounding
-        times[k], positions[k], velocities[k] = t, r, v
-    return Trajectory(times, positions, velocities, h, method)
+    # overflow is not warned about but recorded below as the first bad state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            r, v, t = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
+            t = state.t + k * h  # uniform grid, no accumulated rounding
+            times[k], positions[k], velocities[k] = t, r, v
+    finite = (
+        np.isfinite(times)
+        & np.isfinite(positions).all(axis=1)
+        & np.isfinite(velocities).all(axis=1)
+    )
+    first_nonfinite = None if finite.all() else int(np.argmin(finite))
+    return Trajectory(times, positions, velocities, h, method, first_nonfinite)
 
 
 def measured_rotation_frequency(traj: Trajectory, axis: Sequence[float] = (0, 0, 1)) -> float:

@@ -113,6 +113,50 @@ def assert_same_tensor(raw_terms, expr: ex.Expr, free_names, seed=7, tol=1e-9):
         assert abs(lhs - rhs) < tol, (assignment, lhs, rhs)
 
 
+def reference_canonical_term(coeff, cpow, atoms):
+    """The factorial relabeling search that ``expr._canonical_term`` replaced.
+
+    Tries every assignment of the dummy pool to the summed indices and keeps
+    the lexicographically minimal normalized form; two signs among the
+    minimizers mean the term vanishes (None).
+    """
+    counts = ex._name_counts(atoms)
+    dummies = sorted(n for n, k in counts.items() if k == 2)
+    frees = {n for n, k in counts.items() if k == 1}
+
+    def normalized(ats):
+        sign = 1
+        norm = []
+        for a in ats:
+            s, na = ex._normalize_atom(a)
+            sign *= s
+            norm.append(na)
+        norm.sort(key=lambda a: a.key())
+        return sign, tuple(norm)
+
+    if not dummies:
+        sign, norm = normalized(atoms)
+        return (coeff * sign, cpow, norm)
+
+    pool = ex._dummy_pool(len(dummies), frees)
+    best_key = None
+    best_atoms = None
+    best_signs: set[int] = set()
+    for perm in itertools.permutations(pool):
+        mapping = dict(zip(dummies, perm))
+        sign, norm = normalized(ex._rename_atom(a, mapping) for a in atoms)
+        key = tuple(a.key() for a in norm)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_atoms = norm
+            best_signs = {sign}
+        elif key == best_key:
+            best_signs.add(sign)
+    if len(best_signs) == 2:
+        return None
+    return (coeff * best_signs.pop(), cpow, best_atoms)
+
+
 # ---------------------------------------------------------------------------
 # random generators
 

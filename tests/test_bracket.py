@@ -356,6 +356,16 @@ class TestRunChain:
         assert all(c.verdict is None for c in report.constraints)
         assert reverify(report)
 
+    def test_bracket_cache_stays_flat(self):
+        # fresh dummy names of each call must not add cache entries
+        from embracket.bracket import _mono_cache as cache
+
+        run_chain()
+        size = len(cache)
+        for _ in range(19):
+            run_chain()
+        assert len(cache) == size
+
     def test_uniform_field_passes(self):
         report = run_chain(ex.VectorField.zero(), parse_vector_field("0;0;1"))
         assert report.passed

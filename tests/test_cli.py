@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from embracket import expr as ex
+from embracket import helmholtz as hh
 from embracket.cli import main
 
 
@@ -207,6 +209,36 @@ class TestSimulate:
         assert "Traceback" not in stderr
 
 
+    def test_no_csv_left_on_exit_two(self, capsys, tmp_path):
+        csv = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "simulate", "--dt", "0.1", "--steps", "3", "--out", str(csv))
+        assert code == 2
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_non_finite_trajectory_fails(self, capsys, tmp_path, as_json):
+        argv = ["simulate", "--v0", "1e200,0,0", "--dt", "1e200", "--steps", "5"]
+        argv += ["--out", str(tmp_path / "big.csv")] + (["--json"] if as_json else [])
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 1
+        if not as_json:
+            assert "non-finite state at step 1" in stdout
+            return
+        payload = json.loads(stdout, parse_constant=pytest.fail)  # no NaN / Infinity
+        assert payload["finite"] is False
+        assert payload["first_nonfinite_step"] == 1
+        drift = {e["name"]: e for e in payload["entries"]}["energy-drift"]
+        assert drift["max"] is None and drift["rms"] is None
+
+    def test_finite_report_has_no_flag(self, capsys, tmp_path):
+        code, stdout, _ = run(
+            capsys, "simulate", "--v0", "1,2,3", "--dt", "0.1", "--steps", "10",
+            "--out", str(tmp_path / "t.csv"), "--json",
+        )
+        assert code == 0
+        assert "finite" not in json.loads(stdout)
+
+
 class TestGrid:
     def test_linear_field(self, capsys, tmp_path):
         out = tmp_path / "grid.json"
@@ -222,6 +254,31 @@ class TestGrid:
     def test_too_small(self, capsys):
         code, _, stderr = run(capsys, "grid", "--n", "3")
         assert code == 2
+
+    def test_overflow_fails_with_null_entries(self, capsys):
+        code, stdout, _ = run(
+            capsys, "grid", "--field-B", "x2^2;x3;x1", "--extent", "1e200", "--json"
+        )
+        assert code == 1
+        payload = json.loads(stdout, parse_constant=pytest.fail)
+        assert payload["finite"] is False
+        assert payload["entries"][0]["max"] is None
+
+
+class TestErrorContract:
+    def test_huge_exponent_exits_two_at_once(self, capsys):
+        code, _, stderr = run(capsys, "check", "--force", "q1^1000000;0;0")
+        assert code == 2
+        assert stderr.startswith("parse error: exponent larger than 64")
+
+    def test_expression_error_exits_two(self, capsys, monkeypatch):
+        def reject(force):
+            raise ex.ExprError("rejected by the expression layer")
+
+        monkeypatch.setattr(hh, "helmholtz_check", reject)
+        code, _, stderr = run(capsys, "check", "--force", "v1;0;0")
+        assert code == 2
+        assert stderr == "check: rejected by the expression layer\n"
 
 
 class TestDuality:

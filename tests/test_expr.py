@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     eps_value,
     random_concrete_expr,
     random_polynomial,
+    reference_canonical_term,
 )
 
 
@@ -78,6 +80,15 @@ class TestParse:
             parse("q1/q2")
         with pytest.raises(ParseError):
             parse("v1^-2")
+
+    def test_exponent_cap(self):
+        assert parse("q1^64") == ex.q(1) ** 64
+        assert parse("e^-64") == ex.E_SYM ** -64
+        for text in ("q1^65", "q1^1000000", "e^-65", "q1^" + "9" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "exponent" in err.value.message
+            assert err.value.position == 3
 
     def test_non_integer_exponent(self):
         with pytest.raises(ParseError):
@@ -193,6 +204,118 @@ class TestCanonicalization:
     def test_canonical_ordering_is_stable(self):
         expr = parse("q2*v1 + 3 + q1*v2 - 1/2*t^2")
         assert str(parse(str(expr), "extended")) == str(expr)
+
+
+def _motif(kind: int, fresh) -> list:
+    """A few atoms sharing fresh summed indices, from symmetric to antisymmetric."""
+    a, b, c = fresh(), fresh(), fresh()
+    return [
+        [ex.Var("v", a), ex.Field("B", a)],  # symmetric when repeated
+        [ex.Field("E", a, (("q", b),)), ex.Field("E", b, (("q", a),))],
+        [ex.Eps(a, b, c), ex.Var("v", a), ex.Var("v", b), ex.Field("B", c)],  # zero
+        [ex.Eps(a, b, c), ex.Var("v", a), ex.Field("B", b), ex.Field("E", c)],
+        [ex.Field("B", a, (("q", a), ("t", None)))],
+        [ex.Delta(a, b), ex.Var("q", a), ex.Scalar("U", (("q", b),))],
+    ][kind]
+
+
+@st.composite
+def motif_terms(draw):
+    """Products of motifs with up to six summed indices in a shuffled order."""
+    names = iter(range(100))
+    atoms: list = []
+    for kind in draw(st.lists(st.sampled_from(range(6)), min_size=2, max_size=6)):
+        more = _motif(kind, lambda: f"d{next(names)}")
+        if len(ex._name_counts(atoms + more)) > 6:
+            break
+        atoms += more
+    return tuple(draw(st.permutations(atoms)))
+
+
+@st.composite
+def carved_terms(draw):
+    """Up to six summed indices, two frees and concrete indices cut into atoms."""
+    dummies = [f"d{n}" for n in range(draw(st.sampled_from(range(7))))]
+    frees = draw(st.lists(st.sampled_from(["a", "m"]), unique=True))
+    concrete = draw(st.lists(st.integers(1, 3), max_size=2))
+    slots = list(draw(st.permutations(dummies * 2 + frees + concrete)))
+    atoms = []
+    while slots:
+        kind = draw(st.sampled_from(["eps", "delta", "grad", "field", "var", "scalar"]))
+        width = {"eps": 3, "delta": 2, "grad": 2}.get(kind, 1)
+        if width > len(slots):
+            kind, width = "var", 1
+        cut, slots = slots[:width], slots[width:]
+        if kind == "eps":
+            atoms.append(ex.Eps(*cut))
+        elif kind == "delta":
+            atoms.append(ex.Delta(*cut))
+        elif kind == "grad":
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), cut[0], (("q", cut[1]),)))
+        elif kind == "field":
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), cut[0]))
+        elif kind == "scalar":
+            atoms.append(ex.Scalar("U", (("x", cut[0]), ("t", None))))
+        else:
+            atoms.append(ex.Var(draw(st.sampled_from("qvx")), cut[0]))
+    return tuple(atoms)
+
+
+class TestDummyRelabeling:
+    """The branch-and-bound relabeling against the factorial reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(motif_terms(), carved_terms()))
+    def test_matches_reference(self, atoms):
+        term = (Fraction(2, 3), (1, 0, -1), atoms)
+        assert ex._canonical_term(*term) == reference_canonical_term(*term)
+
+    @pytest.mark.parametrize(
+        "kinds, vanishes",
+        [
+            ((0, 0, 0, 0, 0, 0), False),  # six interchangeable pairs
+            ((1, 1, 1), False),
+            ((2, 0, 0, 0), True),  # eps_abc v_a v_b times three symmetric pairs
+            ((0, 2, 0, 0), True),
+            ((3, 3), False),
+            ((3, 2), True),  # the opposite sign is not under the lowest-bound children
+            ((4, 5, 5, 4), False),
+        ],
+    )
+    def test_symmetric_ties_and_antisymmetric_zeros(self, kinds, vanishes):
+        names = iter(range(100))
+        atoms = tuple(
+            atom for kind in kinds for atom in _motif(kind, lambda: f"d{next(names)}")
+        )
+        term = (Fraction(1), (0, 0, 0), atoms)
+        assert (ex._canonical_term(*term) is None) == vanishes
+        assert ex._canonical_term(*term) == reference_canonical_term(*term)
+
+    def test_ten_dummy_trace_equals_shuffled_twin(self):
+        # d_{i1}F1_{i0} d_{i2}F2_{i1} ... d_{i0}F10_{i9}: ten summed indices
+        families = "EBAEBBAEAB"
+        rng = random.Random(10)
+        first = [f"i{n}" for n in range(10)]
+        second = [f"p{n}" for n in range(10)]
+        rng.shuffle(second)
+
+        def trace(names, order):
+            product = ex.ONE
+            for m in order:
+                component = field_component(families[m], names[m])
+                product = product * partial(component, ("q", names[(m + 1) % 10]))
+            return product
+
+        order = list(range(10))
+        rng.shuffle(order)
+        start = time.process_time()
+        lhs = trace(first, range(10))
+        rhs = trace(second, order)
+        elapsed = time.process_time() - start
+        assert lhs == rhs
+        assert len(lhs.terms) == 1 and not lhs.free_indices()
+        # the factorial search took minutes here; a generous bound catches it
+        assert elapsed < 5.0
 
 
 class TestArithmetic:
