@@ -9,8 +9,10 @@ Grammar (phase-space and field-space contexts)::
     var    := ('q'|'v'|'x')('1'|'2'|'3') | 't'
 
 Phase-space context admits q, v, t; field-space context admits x, t.
-Exponents are at most 64 in absolute value, so a short input cannot ask
-for an unbounded number of products.
+Exponents are at most 64 in absolute value, and in no product (each step
+of a power included) may the two factors' term counts multiply to more than
+_MAX_TERMS, so a short input cannot ask for an unbounded number of products
+or an unbounded expansion.
 Vector fields are three expressions joined by ';'.
 
 The 'extended' context additionally accepts everything the canonical
@@ -47,6 +49,7 @@ class ParseError(Exception):
 _OPS = set("+-*/^()[],;")
 
 _MAX_EXPONENT = 64
+_MAX_TERMS = 5_000  # bound on len(left.terms) * len(right.terms) per product
 
 
 @dataclass
@@ -86,6 +89,11 @@ def _tokenize(text: str) -> list[_Token]:
     end = max(0, n - 1) if n else 0
     tokens.append(_Token("end", "", end))
     return tokens
+
+
+def _check_product(left: Expr, right: Expr, op: _Token) -> None:
+    if len(left.terms) * len(right.terms) > _MAX_TERMS:
+        raise ParseError(op.pos, f"product of more than {_MAX_TERMS} term pairs", op.value)
 
 
 class _Parser:
@@ -135,6 +143,7 @@ class _Parser:
             if tok.kind == "op" and tok.value in "*/":
                 self.next()
                 rhs = self.parse_factor()
+                _check_product(result, rhs, tok)
                 if tok.value == "*":
                     result = result * rhs
                 else:
@@ -166,12 +175,18 @@ class _Parser:
                 raise ParseError(
                     etok.pos, f"exponent larger than {_MAX_EXPONENT}", etok.value
                 )
+            count = int(digits)
             try:
-                return base ** (sign * int(digits))
+                factor = base ** -1 if sign < 0 and count else base
             except ex.NonPolynomialError:
                 raise ParseError(
                     base_tok.pos, "negative powers only on rational/e/m/c constants"
                 ) from None
+            result = ex.ONE  # the product loop of Expr.__pow__, checked per factor
+            for _ in range(count):
+                _check_product(result, factor, tok)
+                result = result * factor
+            return result
         return base
 
     def parse_base(self) -> Expr:

@@ -3,9 +3,19 @@ brackets, grid Maxwell residuals, and energy conservation.
 
 Everything here deliberately avoids the symbolic engine's own reductions:
 derivatives along trajectories and on grids come from central differences,
-so agreement with the symbolic layer is a genuine cross-check.  Reductions
-use max and compensated sums, making results independent of evaluation
-order.
+so agreement with the symbolic layer is a genuine cross-check.
+
+Reductions are max and an exact sum of squares, so results do not depend on
+evaluation order.  A finite square is s * 2^(k - 1075), with s its 53-bit
+significand (implicit bit included) and k = max(exponent field, 1), which
+also places subnormals.  Splitting s into a high 26-bit and a low 27-bit
+half and summing each half per exponent bin over blocks of 2^16 squares
+keeps every partial sum an integer below 2^53, exact in float64 and in any
+order; the blocks add up in int64.  The bins fold into one integer
+T = sum of s * 2^k, and T / 2^1075 is a correctly rounded integer division:
+the value ``math.fsum`` returns, divided by the count as before.  Where that
+sum overflows a float, T / (count * 2^1075) still gives the finite mean.  An
+inf or nan square makes the mean inf or nan, as it does in ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -134,13 +144,37 @@ class ResidualReport:
         return {"entries": [e.to_json_dict() for e in self.entries]}
 
 
+_BLOCK = 1 << 16  # squares per bincount; bounds the temporaries, keeps sums < 2^53
+
+
 def _norms(values) -> tuple[float, float]:
+    """Max modulus and root mean square, the latter from the exact sum of squares."""
     flat = np.ravel(np.asarray(values, dtype=float))
     if flat.size == 0:
         return 0.0, 0.0
-    return float(np.max(np.abs(flat))), float(
-        math.sqrt(math.fsum(float(x) * float(x) for x in flat) / flat.size)
+    peak = float(np.max(np.abs(flat)))
+    if not math.isfinite(peak * peak):  # an inf square makes the sum inf, a nan nan
+        return peak, math.sqrt(peak * peak)
+    high = np.zeros(2047, dtype=np.int64)
+    low = np.zeros(2047, dtype=np.int64)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        bits = (block * block).view(np.uint64)
+        field = bits >> np.uint64(52)
+        implicit = (field > 0).astype(np.uint64) << np.uint64(52)
+        significand = (bits & np.uint64(2**52 - 1)) | implicit
+        bins = np.maximum(field, 1).astype(np.intp)
+        high += np.bincount(bins, significand >> np.uint64(27), 2047).astype(np.int64)
+        low += np.bincount(bins, significand & np.uint64(2**27 - 1), 2047).astype(np.int64)
+    total = sum(
+        (int(high[k]) << (k + 27)) + (int(low[k]) << k)
+        for k in np.flatnonzero(high | low).tolist()
     )
+    try:
+        mean = total / (1 << 1075) / flat.size
+    except OverflowError:  # the sum overflows, the mean (at most the peak's square) does not
+        mean = total / (flat.size << 1075)
+    return peak, math.sqrt(mean)
 
 
 def _entry(name: str, values, h: float) -> ResidualEntry:
@@ -390,6 +424,8 @@ def el_residual(
     return ResidualReport([_entry("euler-lagrange", residual, traj.h)])
 
 
+# non-finite values are reported as such, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def energy_check(
     traj: Trajectory,
     scalar_pot: Expr,
@@ -509,6 +545,8 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[1:-1, 1:-1, 1:-1]
 
 
+# non-finite values are reported as such, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def maxwell_grid_residuals(
     fields: tuple[VectorField, VectorField],
     grid: GridSpec,

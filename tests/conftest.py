@@ -10,9 +10,11 @@ the tensor value.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from embracket import expr as ex
@@ -155,6 +157,16 @@ def reference_canonical_term(coeff, cpow, atoms):
     if len(best_signs) == 2:
         return None
     return (coeff * best_signs.pop(), cpow, best_atoms)
+
+
+def reference_norms(values) -> tuple[float, float]:
+    """The generator-and-fsum body that ``numeric._norms`` replaced."""
+    flat = np.ravel(np.asarray(values, dtype=float))
+    if flat.size == 0:
+        return 0.0, 0.0
+    return float(np.max(np.abs(flat))), float(
+        math.sqrt(math.fsum(float(x) * float(x) for x in flat) / flat.size)
+    )
 
 
 # ---------------------------------------------------------------------------

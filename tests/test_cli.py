@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, report files, determinism."""
 
 import json
+import math
+import time
+import warnings
 
 import pytest
 
@@ -264,12 +267,46 @@ class TestGrid:
         assert payload["finite"] is False
         assert payload["entries"][0]["max"] is None
 
+    def test_overflowing_sum_of_squares_has_finite_rms(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "grid", "--field-E", "x1^2/2;0;0", "--field-B", "0;0;1",
+            "--extent", "1.2e154", "--n", "9", "--json",
+        )
+        assert (code, stderr) == (0, "")
+        entries = {e["name"]: e for e in json.loads(stdout)["entries"]}
+        charge = entries["implied-charge-density"]
+        assert math.isfinite(charge["rms"]) and 0 < charge["rms"] <= charge["max"]
+
+
+class TestNonFiniteQuiet:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--field-B", "x2^2;x3;x1", "--extent", "1e200"),
+            ("simulate", "--v0", "1e200,0,0", "--dt", "1e200", "--steps", "5"),
+        ],
+    )
+    def test_no_numpy_warnings(self, capsys, tmp_path, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "o"), "--json")
+        assert code == 1
+        assert stderr == ""
+        assert [str(w.message) for w in caught] == []
+
 
 class TestErrorContract:
     def test_huge_exponent_exits_two_at_once(self, capsys):
         code, _, stderr = run(capsys, "check", "--force", "q1^1000000;0;0")
         assert code == 2
         assert stderr.startswith("parse error: exponent larger than 64")
+
+    def test_huge_expansion_exits_two_at_once(self, capsys):
+        start = time.process_time()
+        code, _, stderr = run(capsys, "check", "--force", "(q1+q2+q3+v1+v2+v3+t)^64;0;0")
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert stderr.startswith("parse error: product of more than")
 
     def test_expression_error_exits_two(self, capsys, monkeypatch):
         def reject(force):

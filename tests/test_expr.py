@@ -90,6 +90,20 @@ class TestParse:
             assert "exponent" in err.value.message
             assert err.value.position == 3
 
+    def test_term_count_cap(self):
+        base = ex.q(1) + ex.v(2) - ex.t()
+        assert parse("(q1+v2-t)^5") == base**5
+        assert parse("(q1+v2-t)^2*(q1+v2-t)/3") == base**3 / 3
+        assert parse("(2*e)^-3") == (2 * ex.E_SYM) ** -3
+        assert parse("q1^-0") == ex.ONE
+        with pytest.raises(ParseError) as err:
+            parse("(q1+q2+q3+v1+v2+v3+t)^64")
+        assert "more than" in err.value.message
+        assert err.value.position == 21  # the '^'
+        with pytest.raises(ParseError) as err:
+            parse("(q1+q2+q3+v1+v2+v3+t)^4*(q1+q2+q3+v1+v2+v3+t)^3")
+        assert err.value.position == 23  # the '*'
+
     def test_non_integer_exponent(self):
         with pytest.raises(ParseError):
             parse("q1^x")

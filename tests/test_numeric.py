@@ -1,11 +1,15 @@
 """Numerical layer: integrators, finite-difference brackets, grids, energy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from embracket import expr as ex
+from embracket import numeric as nm
 from embracket.dsl import parse, parse_vector_field
 from embracket.expr import VectorField, ZERO, curl, gradient, time_derivative_field
 from embracket.helmholtz import (
@@ -33,7 +37,7 @@ from embracket.numeric import (
     step_rk4,
 )
 
-from conftest import random_polynomial
+from conftest import random_polynomial, reference_norms
 
 ZERO_FIELD = VectorField.zero()
 UNIFORM_B = parse_vector_field("0;0;1")
@@ -276,6 +280,62 @@ class TestCanonicalBrackets:
         )
         assert report.entry("velocity-velocity").max < 1e-6
         assert report.entry("position-velocity-diagonal").max < 1e-6
+
+
+@st.composite
+def residual_arrays(draw):
+    """Seeded arrays of magnitudes 1e-320..1e150 with zeros and both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(
+        st.one_of(
+            st.integers(3, 300),
+            st.integers(nm._BLOCK - 3, nm._BLOCK + 3),
+            st.integers(2 * nm._BLOCK + 1, 3 * nm._BLOCK),
+        )
+    )
+    lo = draw(st.floats(-320.0, 150.0))
+    hi = draw(st.floats(lo, 150.0))
+    values = 10.0 ** rng.uniform(lo, hi, size) * rng.choice([-1.0, 0.0, 1.0], size)
+    if draw(st.booleans()):  # the Faraday rows arrive as a list of equal arrays
+        return list(values[: 3 * (size // 3)].reshape(3, -1))
+    return values
+
+
+class TestNorms:
+    @settings(max_examples=150, deadline=None)
+    @given(residual_arrays())
+    @example(np.geomspace(1e-165, 1e-150, 999))  # subnormal and smallest normal squares
+    @example(np.geomspace(-1e-320, -1e150, 2 * nm._BLOCK + 7))
+    def test_matches_reference_on_arrays(self, values):
+        assert repr(nm._norms(values)) == repr(reference_norms(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150), max_size=40))
+    def test_matches_reference_on_edge_floats(self, values):
+        # hypothesis favours 0, -0, subnormals and the largest floats
+        assert repr(nm._norms(values)) == repr(reference_norms(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=30),
+        st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_non_finite_inputs(self, finite, special, rnd):
+        values = finite + special
+        rnd.shuffle(values)
+        assert repr(nm._norms(values)) == repr(reference_norms(values))
+
+    def test_overflowing_square(self):
+        values = [1.0, -1e200]
+        assert repr(nm._norms(values)) == repr(reference_norms(values)) == "(1e+200, inf)"
+
+    def test_overflowing_sum_has_finite_mean(self):
+        values = [1.3e154, -1.2e154, 1.1e154, 0.5]
+        with pytest.raises(OverflowError):
+            reference_norms(values)
+        exact = sum(Fraction(x * x) for x in values) / len(values)
+        assert nm._norms(values) == (1.3e154, math.sqrt(float(exact)))
 
 
 class TestGridResiduals:
