@@ -5,6 +5,15 @@ Everything here deliberately avoids the symbolic engine's own reductions:
 derivatives along trajectories and on grids come from central differences,
 so agreement with the symbolic layer is a genuine cross-check.
 
+A single particle is stepped in Python floats, not numpy 3-vectors: each
+field is compiled once into a function of (x1, x2, x3, t) whose terms carry
+e, m and c folded into their coefficients, multiplied in the order
+``CompiledExpr`` uses, and the cross products are written out by component
+as ``np.cross`` computes them.  |t|^2 in the Boris rotation stays
+``np.dot``: the BLAS kernel may fuse its multiply-adds, a plain sum does
+not, and the two differ in the last bit often enough to change trajectories.
+Kept, every trajectory is bit-identical to the numpy stepping.
+
 Reductions are max and an exact sum of squares, so results do not depend on
 evaluation order.  A finite square is s * 2^(k - 1075), with s its 53-bit
 significand (implicit bit included) and k = max(exponent field, 1), which
@@ -202,6 +211,18 @@ _SLOTS = {
 }
 
 
+def _constant(coeff: float, cpow, bindings: NumericBindings) -> float:
+    """coeff * e^a * m^b * c^k, multiplied left to right; ValueError if it has no float."""
+    value = coeff
+    for name, base, p in zip("emc", (bindings.e, bindings.m, bindings.c), cpow):
+        if p:
+            try:
+                value = value * base**p
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(f"{name}^{p} has no float value at {name} = {base!r}") from None
+    return value
+
+
 class CompiledExpr:
     """A term-table evaluator over (position, velocity, time) slots.
 
@@ -222,7 +243,11 @@ class CompiledExpr:
                 if key not in _SLOTS:
                     raise UnboundSymbolError(f"no numeric value for {atom!r}")
                 slots.append(_SLOTS[key])
-            table.append((float(coeff), cpow, tuple(slots)))
+            try:
+                value = float(coeff)
+            except OverflowError:
+                raise ValueError("a coefficient is too large for a float") from None
+            table.append((value, cpow, tuple(slots)))
         self.table = tuple(table)
 
     def __call__(self, position, velocity, time, bindings: NumericBindings):
@@ -234,12 +259,8 @@ class CompiledExpr:
             time,
         ]
         total = 0.0
-        consts = (bindings.e, bindings.m, bindings.c)
         for coeff, cpow, slots in self.table:
-            piece = coeff
-            for base, p in zip(consts, cpow):
-                if p:
-                    piece = piece * base**p
+            piece = _constant(coeff, cpow, bindings)
             for s in slots:
                 if values[s] is None:
                     raise UnboundSymbolError("expression needs a velocity value")
@@ -262,11 +283,31 @@ def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time
 
 
 def _compile_field(vf: VectorField, bindings: NumericBindings):
-    """Compile a vector field once into a function (r, t) -> 3-vector."""
-    comps = [CompiledExpr(comp) for comp in vf]
+    """Compile a vector field once into a function (x1, x2, x3, t) -> three floats.
 
-    def at(r, t: float) -> np.ndarray:
-        return np.array([f(r, None, t, bindings) for f in comps])
+    Each term's coefficient has e, m and c folded in (``_constant``); the term
+    is that float times its slot values, summed as ``CompiledExpr`` sums.
+    """
+    comps = []
+    for comp in vf:
+        terms = []
+        for coeff, cpow, slots in CompiledExpr(comp).table:
+            if any(3 <= s < 6 for s in slots):
+                raise UnboundSymbolError("expression needs a velocity value")
+            terms.append((_constant(coeff, cpow, bindings), slots))
+        comps.append(terms)
+
+    def at(x1: float, x2: float, x3: float, t: float) -> list[float]:
+        values = (x1, x2, x3, None, None, None, t)
+        out = []
+        for terms in comps:
+            total = 0.0
+            for piece, slots in terms:
+                for s in slots:
+                    piece = piece * values[s]
+                total = total + piece
+            out.append(total)
+        return out
 
     return at
 
@@ -279,37 +320,56 @@ def _boris_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
     # drift-kick-drift: half position drift, Boris velocity update with the
     # fields at the midpoint, half drift; time-symmetric, hence second order
     # with synchronized states, and exactly norm-preserving when E = 0.
-    r_half = r + 0.5 * h * v
-    t_half = t + 0.5 * h
+    half = 0.5 * h
+    x1, x2, x3 = r[0] + half * v[0], r[1] + half * v[1], r[2] + half * v[2]
     half_acc = (bindings.e * h) / (2.0 * bindings.m)
-    e_val = e_at(r_half, t_half)
-    b_val = b_at(r_half, t_half)
-    v_minus = v + half_acc * e_val
-    tvec = (bindings.e * h / (2.0 * bindings.m * bindings.c)) * b_val
-    v_prime = v_minus + np.cross(v_minus, tvec)
-    svec = 2.0 * tvec / (1.0 + float(np.dot(tvec, tvec)))
-    v_plus = v_minus + np.cross(v_prime, svec)
-    v_new = v_plus + half_acc * e_val
-    return r_half + 0.5 * h * v_new, v_new, t + h
+    e1, e2, e3 = e_at(x1, x2, x3, t + half)
+    b1, b2, b3 = b_at(x1, x2, x3, t + half)
+    # v- = v + half kick, t = (e h / 2 m c) B, v' = v- + v- x t
+    m1, m2, m3 = v[0] + half_acc * e1, v[1] + half_acc * e2, v[2] + half_acc * e3
+    scale = bindings.e * h / (2.0 * bindings.m * bindings.c)
+    t1, t2, t3 = scale * b1, scale * b2, scale * b3
+    p1, p2, p3 = m1 + (m2 * t3 - m3 * t2), m2 + (m3 * t1 - m1 * t3), m3 + (m1 * t2 - m2 * t1)
+    # s = 2 t / (1 + |t|^2); v+ = v- + v' x s, then the second half kick
+    tvec = np.array((t1, t2, t3))
+    norm = 1.0 + float(np.dot(tvec, tvec))
+    s1, s2, s3 = 2.0 * t1 / norm, 2.0 * t2 / norm, 2.0 * t3 / norm
+    n1 = m1 + (p2 * s3 - p3 * s2) + half_acc * e1
+    n2 = m2 + (p3 * s1 - p1 * s3) + half_acc * e2
+    n3 = m3 + (p1 * s2 - p2 * s1) + half_acc * e3
+    return (x1 + half * n1, x2 + half * n2, x3 + half * n3), (n1, n2, n3)
 
 
 def _accel(r, v, t, e_at, b_at, bindings: NumericBindings):
-    return (bindings.e / bindings.m) * (
-        e_at(r, t) + np.cross(v, b_at(r, t)) / bindings.c
+    e1, e2, e3 = e_at(r[0], r[1], r[2], t)
+    b1, b2, b3 = b_at(r[0], r[1], r[2], t)
+    q, c = bindings.e / bindings.m, bindings.c
+    return (
+        q * (e1 + (v[1] * b3 - v[2] * b2) / c),
+        q * (e2 + (v[2] * b1 - v[0] * b3) / c),
+        q * (e3 + (v[0] * b2 - v[1] * b1) / c),
     )
+
+
+def _axpy(y, a: float, x):
+    return (y[0] + a * x[0], y[1] + a * x[1], y[2] + a * x[2])
+
+
+def _rk4_sum(k1, k2, k3, k4):
+    return tuple(a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4))
 
 
 def _rk4_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
     k1r, k1v = v, _accel(r, v, t, e_at, b_at, bindings)
-    k2r = v + 0.5 * h * k1v
-    k2v = _accel(r + 0.5 * h * k1r, k2r, t + 0.5 * h, e_at, b_at, bindings)
-    k3r = v + 0.5 * h * k2v
-    k3v = _accel(r + 0.5 * h * k2r, k3r, t + 0.5 * h, e_at, b_at, bindings)
-    k4r = v + h * k3v
-    k4v = _accel(r + h * k3r, k4r, t + h, e_at, b_at, bindings)
-    r_new = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-    v_new = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return r_new, v_new, t + h
+    k2r = _axpy(v, 0.5 * h, k1v)
+    k2v = _accel(_axpy(r, 0.5 * h, k1r), k2r, t + 0.5 * h, e_at, b_at, bindings)
+    k3r = _axpy(v, 0.5 * h, k2v)
+    k3v = _accel(_axpy(r, 0.5 * h, k2r), k3r, t + 0.5 * h, e_at, b_at, bindings)
+    k4r = _axpy(v, h, k3v)
+    k4v = _accel(_axpy(r, h, k3r), k4r, t + h, e_at, b_at, bindings)
+    r_new = _axpy(r, h / 6.0, _rk4_sum(k1r, k2r, k3r, k4r))
+    v_new = _axpy(v, h / 6.0, _rk4_sum(k1v, k2v, k3v, k4v))
+    return r_new, v_new
 
 
 _STEPPERS = {"boris": _boris_step, "rk4": _rk4_step}
@@ -358,14 +418,14 @@ def integrate(
     times = np.empty(steps + 1)
     positions = np.empty((steps + 1, 3))
     velocities = np.empty((steps + 1, 3))
-    r, v, t = state.r.copy(), state.v.copy(), state.t
-    times[0], positions[0], velocities[0] = t, r, v
+    r, v = state.r.tolist(), state.v.tolist()
+    times[0], positions[0], velocities[0] = state.t, r, v
     # overflow is not warned about but recorded below as the first bad state
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            r, v, t = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
-            t = state.t + k * h  # uniform grid, no accumulated rounding
-            times[k], positions[k], velocities[k] = t, r, v
+            r, v = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
+            # uniform grid, no accumulated rounding
+            times[k], positions[k], velocities[k] = state.t + k * h, r, v
     finite = (
         np.isfinite(times)
         & np.isfinite(positions).all(axis=1)
@@ -413,9 +473,9 @@ def el_residual(
     pos = tuple(traj.positions[:, k] for k in range(3))
     vel = tuple(traj.velocities[:, k] for k in range(3))
 
-    def sample(f: CompiledExpr) -> np.ndarray:
+    def sample(f: CompiledExpr) -> np.ndarray:  # a read-only view; np.stack copies
         value = f(pos, vel, traj.times, bindings)
-        return np.broadcast_to(np.asarray(value, dtype=float), (len(traj),)).copy()
+        return np.broadcast_to(np.asarray(value, dtype=float), (len(traj),))
 
     p = np.stack([sample(f) for f in momenta], axis=1)
     dl_dq = np.stack([sample(f) for f in gradients], axis=1)
@@ -480,9 +540,9 @@ def canonical_bracket_check(
     t0 = state.t
 
     def v_of(r, p, j):
-        return (p[j] - (bindings.e / bindings.c) * a_at(r, t0)[j]) / bindings.m
+        return (p[j] - (bindings.e / bindings.c) * a_at(*r, t0)[j]) / bindings.m
 
-    p0 = bindings.m * state.v + (bindings.e / bindings.c) * a_at(state.r, t0)
+    p0 = bindings.m * state.v + (bindings.e / bindings.c) * np.array(a_at(*state.r, t0))
 
     def fd_bracket(f, g):
         total = 0.0
@@ -569,9 +629,9 @@ def maxwell_grid_residuals(
     t0 = grid.t0
     h = grid.h
 
-    def sample(comp: Expr) -> np.ndarray:
+    def sample(comp: Expr) -> np.ndarray:  # a read-only view, only sliced and read
         value = CompiledExpr(comp)(pos, None, t0, bindings)
-        return np.broadcast_to(np.asarray(value, dtype=float), mesh[0].shape).copy()
+        return np.broadcast_to(np.asarray(value, dtype=float), mesh[0].shape)
 
     e_vals = [sample(c) for c in field_E]
     b_vals = [sample(c) for c in field_B]

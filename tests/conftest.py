@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from embracket import expr as ex
+from embracket import numeric as nm
 
 EPS_TABLE = {}
 for perm, sign in (
@@ -167,6 +168,98 @@ def reference_norms(values) -> tuple[float, float]:
     return float(np.max(np.abs(flat))), float(
         math.sqrt(math.fsum(float(x) * float(x) for x in flat) / flat.size)
     )
+
+
+def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
+    """The numpy 3-vector stepping that ``numeric.integrate`` replaced.
+
+    Each field is evaluated per call with the term loop of
+    ``CompiledExpr.__call__`` as it was (constants raised to their powers on
+    every call), the cross products go through ``np.cross``; returns a
+    ``numeric.Trajectory``.
+    """
+
+    def evaluate_table(table, position, velocity, time, bindings):
+        values = [
+            position[0], position[1], position[2],
+            None if velocity is None else velocity[0],
+            None if velocity is None else velocity[1],
+            None if velocity is None else velocity[2],
+            time,
+        ]
+        total = 0.0
+        consts = (bindings.e, bindings.m, bindings.c)
+        for coeff, cpow, slots in table:
+            piece = coeff
+            for base, p in zip(consts, cpow):
+                if p:
+                    piece = piece * base**p
+            for s in slots:
+                if values[s] is None:
+                    raise ex.UnboundSymbolError("expression needs a velocity value")
+                piece = piece * values[s]
+            total = total + piece
+        return total
+
+    def _compile_field(vf, bindings):
+        comps = [nm.CompiledExpr(comp).table for comp in vf]
+
+        def at(r, t: float) -> np.ndarray:
+            return np.array([evaluate_table(f, r, None, t, bindings) for f in comps])
+
+        return at
+
+    def _boris_step(r, v, t, h, e_at, b_at, bindings):
+        r_half = r + 0.5 * h * v
+        t_half = t + 0.5 * h
+        half_acc = (bindings.e * h) / (2.0 * bindings.m)
+        e_val = e_at(r_half, t_half)
+        b_val = b_at(r_half, t_half)
+        v_minus = v + half_acc * e_val
+        tvec = (bindings.e * h / (2.0 * bindings.m * bindings.c)) * b_val
+        v_prime = v_minus + np.cross(v_minus, tvec)
+        svec = 2.0 * tvec / (1.0 + float(np.dot(tvec, tvec)))
+        v_plus = v_minus + np.cross(v_prime, svec)
+        v_new = v_plus + half_acc * e_val
+        return r_half + 0.5 * h * v_new, v_new, t + h
+
+    def _accel(r, v, t, e_at, b_at, bindings):
+        return (bindings.e / bindings.m) * (
+            e_at(r, t) + np.cross(v, b_at(r, t)) / bindings.c
+        )
+
+    def _rk4_step(r, v, t, h, e_at, b_at, bindings):
+        k1r, k1v = v, _accel(r, v, t, e_at, b_at, bindings)
+        k2r = v + 0.5 * h * k1v
+        k2v = _accel(r + 0.5 * h * k1r, k2r, t + 0.5 * h, e_at, b_at, bindings)
+        k3r = v + 0.5 * h * k2v
+        k3v = _accel(r + 0.5 * h * k2r, k3r, t + 0.5 * h, e_at, b_at, bindings)
+        k4r = v + h * k3v
+        k4v = _accel(r + h * k3r, k4r, t + h, e_at, b_at, bindings)
+        r_new = r + (h / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+        v_new = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        return r_new, v_new, t + h
+
+    bindings = bindings or nm.NumericBindings()
+    stepper = {"boris": _boris_step, "rk4": _rk4_step}[method]
+    e_at, b_at = (_compile_field(vf, bindings) for vf in fields)
+    times = np.empty(steps + 1)
+    positions = np.empty((steps + 1, 3))
+    velocities = np.empty((steps + 1, 3))
+    r, v, t = state.r.copy(), state.v.copy(), state.t
+    times[0], positions[0], velocities[0] = t, r, v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            r, v, t = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
+            t = state.t + k * h
+            times[k], positions[k], velocities[k] = t, r, v
+    finite = (
+        np.isfinite(times)
+        & np.isfinite(positions).all(axis=1)
+        & np.isfinite(velocities).all(axis=1)
+    )
+    first_nonfinite = None if finite.all() else int(np.argmin(finite))
+    return nm.Trajectory(times, positions, velocities, h, method, first_nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,23 @@ class TestErrorContract:
         assert code == 2
         assert stderr.startswith("parse error: product of more than")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--field-E", "9" * 400 + "*x1;0;0", "--n", "5"),
+            ("simulate", "--field-E", "e^2;0;0", "--e", "1e200", "--dt", "0.1", "--steps", "10"),
+            ("grid", "--field-E", "x1/m^3;0;0", "--m", "1e-200", "--n", "5"),
+            ("simulate", "--field-E", "x1/e;0;0", "--e", "0", "--dt", "0.1", "--steps", "10"),
+        ],
+    )
+    def test_constant_without_float_exits_two(self, capsys, tmp_path, argv):
+        out = tmp_path / "o"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"{argv[0]}: ")
+        assert not out.exists()
+
     def test_expression_error_exits_two(self, capsys, monkeypatch):
         def reject(force):
             raise ex.ExprError("rejected by the expression layer")
