@@ -158,13 +158,12 @@ def bracket(a: Expr, b: Expr) -> Expr:
     arguments per the Einstein convention, while each argument's internal
     summed indices are kept private.
     """
-    total = ZERO
+    pieces = []
     for coeff, cpow, atoms_a, atoms_b in ex._term_pairs(a, b):
         piece = _bracket_mono(atoms_a, atoms_b)
-        if piece.is_zero:
-            continue
-        total = total + ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece
-    return total
+        if not piece.is_zero:
+            pieces.append(ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece)
+    return ex._sum(pieces)
 
 
 def jacobi_residual(a: Expr, b: Expr, c: Expr) -> Expr:
@@ -173,11 +172,7 @@ def jacobi_residual(a: Expr, b: Expr, c: Expr) -> Expr:
     Identically zero for canonical coordinates; an expression in the field
     derivatives for velocity triples with position-dependent B.
     """
-    return (
-        bracket(a, bracket(b, c))
-        + bracket(b, bracket(c, a))
-        + bracket(c, bracket(a, b))
-    )
+    return ex._sum(bracket(x, bracket(y, z)) for x, y, z in ((a, b, c), (b, c, a), (c, a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -124,17 +124,16 @@ class _Parser:
         if tok.kind == "op" and tok.value in "+-":
             self.next()
             negate = tok.value == "-"
-        result = self.parse_term()
-        if negate:
-            result = -result
+        first = self.parse_term()
+        terms = [-first if negate else first]
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.next()
                 rhs = self.parse_term()
-                result = result + rhs if tok.value == "+" else result - rhs
+                terms.append(rhs if tok.value == "+" else -rhs)
             else:
-                return result
+                return ex._sum(terms)
 
     def parse_term(self) -> Expr:
         result = self.parse_factor()

@@ -33,6 +33,12 @@ sibling of equal bound maps the term onto itself with the same sign, since
 the two subtrees then yield the same keys and signs.  With three or fewer
 dummies left their permutations are enumerated outright.
 
+Every sum of canonical expressions goes through one private ``_sum``: it
+chains the terms of all addends and collects them once, building each
+term's sort key once, so an n-term accumulation costs one O(n log n) sort
+rather than a re-sort of the running total per addend.  ``partial`` writes
+each differentiated term raw and canonicalizes the whole derivative once.
+
 Indices are either concrete (1, 2, 3) or symbolic names.  A symbolic index
 occurring twice in a monomial is summed per the Einstein convention; more
 than two occurrences raises :class:`IndexConventionError`.
@@ -490,19 +496,22 @@ def _canonical_term(coeff: Fraction, cpow: tuple, atoms: Sequence[Atom]) -> Term
 
 
 def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
-    acc: dict[tuple, Fraction] = {}
+    """Add like terms and sort by (atom keys, powers); each key is built once."""
+    acc: dict[tuple, Term] = {}
     for coeff, cpow, atoms in terms:
         if coeff == 0:
             continue
         key = (tuple(a.key() for a in atoms), cpow)
         prev = acc.get(key)
-        if prev is None:
-            acc[key] = (coeff, cpow, atoms)
-        else:
-            acc[key] = (prev[0] + coeff, cpow, atoms)
-    final = [t for t in acc.values() if t[0] != 0]
-    final.sort(key=lambda t: (tuple(a.key() for a in t[2]), t[1]))
-    return tuple(final)
+        acc[key] = (coeff if prev is None else prev[0] + coeff, cpow, atoms)
+    return tuple(t for _, t in sorted(acc.items()) if t[0] != 0)
+
+
+def _sum(exprs: Iterable["Expr"]) -> "Expr":
+    """The sum of canonical expressions, collected once."""
+    return Expr(
+        _collect(itertools.chain.from_iterable(e.terms for e in exprs)), _canonical=True
+    )
 
 
 def _canonicalize_terms(raw: Iterable[Term]) -> tuple[Term, ...]:
@@ -596,7 +605,7 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr(_collect(self.terms + other.terms), _canonical=True)
+        return _sum((self, other))
 
     __radd__ = __add__
 
@@ -609,7 +618,7 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _sum((self, -other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -839,25 +848,25 @@ def _as_var(var) -> tuple[str, Index | None]:
     return (kind, _check_index(idx))
 
 
-def _atom_partial(atom: Atom, kind: str, idx: Index | None) -> Expr | None:
-    """Derivative of one atom; None encodes zero."""
+def _atom_partial(atom: Atom, kind: str, idx: Index | None) -> tuple | None:
+    """Derivative of one atom as the atoms of its product; None encodes zero."""
     if isinstance(atom, (Delta, Eps)):
         return None
     if isinstance(atom, Var):
         if atom.kind != kind:
             return None
         if kind == "t":
-            return ONE
+            return ()
         if isinstance(atom.index, int) and isinstance(idx, int):
-            return ONE if atom.index == idx else None
-        return delta(atom.index, idx)
+            return () if atom.index == idx else None
+        return (Delta(atom.index, idx),)
     if isinstance(atom, (Field, Scalar)):
         if kind == "v":
             return None
         dv = ("t", None) if kind == "t" else (kind, idx)
         if isinstance(atom, Field):
-            return _atom_expr(Field(atom.family, atom.index, atom.derivs + (dv,)))
-        return _atom_expr(Scalar(atom.family, atom.derivs + (dv,)))
+            return (Field(atom.family, atom.index, atom.derivs + (dv,)),)
+        return (Scalar(atom.family, atom.derivs + (dv,)),)
     raise TypeError(f"not an atom: {atom!r}")
 
 
@@ -871,18 +880,16 @@ def partial(expr: Expr, var) -> Expr:
     divergence; the expression's own summed pairs are renamed apart first.
     """
     kind, idx = _as_var(var)
-    total = ZERO
+    raw: list[Term] = []
     for term in expr.terms:
         if isinstance(idx, str):
             term = _rename_dummies_apart(term, {idx})
         coeff, cpow, atoms = term
         for pos, atom in enumerate(atoms):
-            datom = _atom_partial(atom, kind, idx)
-            if datom is None:
-                continue
-            rest = Expr(((coeff, cpow, atoms[:pos] + atoms[pos + 1:]),))
-            total = total + rest * datom
-    return total
+            datoms = _atom_partial(atom, kind, idx)
+            if datoms is not None:
+                raw.append((coeff, cpow, atoms[:pos] + datoms + atoms[pos + 1:]))
+    return Expr(tuple(raw))
 
 
 def total_time_derivative(expr: Expr, mode: str = "free", force=None) -> Expr:
@@ -894,11 +901,11 @@ def total_time_derivative(expr: Expr, mode: str = "free", force=None) -> Expr:
     if mode not in ("free", "on-shell"):
         raise ExprError(f"unknown mode {mode!r}")
     k1, k2 = _fresh_name(), _fresh_name()
-    result = (
-        partial(expr, ("t", None))
-        + v(k1) * partial(expr, ("q", k1))
-        + accel(k2) * partial(expr, ("v", k2))
-    )
+    result = _sum((
+        partial(expr, ("t", None)),
+        v(k1) * partial(expr, ("q", k1)),
+        accel(k2) * partial(expr, ("v", k2)),
+    ))
     if mode == "free":
         return result
     if force is None:
@@ -917,10 +924,10 @@ def _force_components(force) -> tuple[Expr, Expr, Expr]:
 def _substitute_acceleration(expr: Expr, comps: tuple[Expr, Expr, Expr]) -> Expr:
     if any(c.has_kind("a") for c in comps):
         raise ExprError("force components may not contain acceleration symbols")
-    out = ZERO
+    pieces = []
     for term in expr.terms:
         if not any(isinstance(a, Var) and a.kind == "a" for a in term[2]):
-            out = out + Expr((term,), _canonical=True)
+            pieces.append(Expr((term,), _canonical=True))
             continue
         for cterm in expand_dummies(Expr((term,), _canonical=True)).terms:
             coeff, cpow, atoms = cterm
@@ -931,10 +938,8 @@ def _substitute_acceleration(expr: Expr, comps: tuple[Expr, Expr, Expr]) -> Expr
             if not isinstance(comp_idx, int):
                 raise ExprError("free symbolic acceleration index cannot be bound")
             rest = Expr(((coeff, cpow, atoms[:pos] + atoms[pos + 1:]),))
-            out = out + _substitute_acceleration(
-                rest * comps[comp_idx - 1] / M_SYM, comps
-            )
-    return out
+            pieces.append(_substitute_acceleration(rest * comps[comp_idx - 1] / M_SYM, comps))
+    return _sum(pieces)
 
 
 def expand_dummies(expr: Expr) -> Expr:
@@ -1008,7 +1013,7 @@ def substitute_fields(expr: Expr, bindings: Mapping[str, object]) -> Expr:
     missing = sorted(needed - set(bindings))
     if missing:
         raise UnboundSymbolError(f"unbound field families: {missing}")
-    out = ZERO
+    pieces = []
     for coeff, cpow, atoms in expand_dummies(expr).terms:
         piece = Expr(((coeff, cpow, ()),), _canonical=True)
         for atom in atoms:
@@ -1030,8 +1035,8 @@ def substitute_fields(expr: Expr, bindings: Mapping[str, object]) -> Expr:
                 piece = piece * x(atom.index)
             else:
                 piece = piece * _atom_expr(atom)
-        out = out + piece
-    return out
+        pieces.append(piece)
+    return _sum(pieces)
 
 
 def _apply_derivs(component: Expr, derivs: tuple) -> Expr:
@@ -1091,11 +1096,11 @@ def _axial_dual(matrix) -> tuple[Expr, Expr, Expr]:
 
     Only the off-diagonal entries are read.
     """
-    out = [ZERO, ZERO, ZERO]
+    parts: list[list[Expr]] = [[], [], []]
     for (k, i, j), sign in _EPS_SIGN.items():
         entry = matrix[i - 1][j - 1]
-        out[k - 1] = out[k - 1] + (entry if sign > 0 else -entry)
-    return tuple(out)  # type: ignore[return-value]
+        parts[k - 1].append(entry if sign > 0 else -entry)
+    return tuple(_sum(p) for p in parts)  # type: ignore[return-value]
 
 
 def _cross(u, w) -> tuple[Expr, Expr, Expr]:
@@ -1193,9 +1198,7 @@ class VectorField:
 
 
 def divergence(vf: VectorField) -> Expr:
-    return sum(
-        (partial(vf[i], ("x", i + 1)) for i in range(3)), start=ZERO
-    )
+    return _sum(partial(vf[i], ("x", i + 1)) for i in range(3))
 
 
 def curl(vf: VectorField) -> VectorField:

@@ -118,7 +118,7 @@ class AffineDecomposition:
 
     def reconstruct(self) -> tuple[Expr, Expr, Expr]:
         return tuple(
-            sum((self.a[i][j] * v(j + 1) for j in range(3)), start=ZERO) + self.b[i]
+            ex._sum([*(self.a[i][j] * v(j + 1) for j in range(3)), self.b[i]])
             for i in range(3)
         )
 
@@ -187,16 +187,19 @@ class HelmholtzReport:
         }
 
 
-def _affine_split(comps) -> tuple[tuple[tuple[Expr, ...], ...], tuple[Expr, ...]]:
-    """a_ij = dF_i/dv_j and b_i = F_i - a_ij v_j."""
-    a = tuple(
+def _velocity_gradient(comps) -> tuple[tuple[Expr, ...], ...]:
+    """a_ij = dF_i/dv_j."""
+    return tuple(
         tuple(partial(comps[i - 1], ("v", j)) for j in (1, 2, 3)) for i in (1, 2, 3)
     )
-    b = tuple(
-        comps[i - 1] - sum((a[i - 1][j - 1] * v(j) for j in (1, 2, 3)), start=ZERO)
+
+
+def _affine_offset(comps, a) -> tuple[Expr, ...]:
+    """b_i = F_i - a_ij v_j for the velocity gradient a of the components."""
+    return tuple(
+        ex._sum([comps[i - 1], *(-(a[i - 1][j - 1] * v(j)) for j in (1, 2, 3))])
         for i in (1, 2, 3)
     )
-    return a, b
 
 
 def _nonzero(name: str, entries) -> ConditionResult:
@@ -205,85 +208,77 @@ def _nonzero(name: str, entries) -> ConditionResult:
     )
 
 
+_PAIRS = tuple(itertools.product((1, 2, 3), repeat=2))
+_TRIPLES = tuple(itertools.product((1, 2, 3), repeat=3))
+
+
+def _linearity(a) -> ConditionResult:
+    """da_ij/dv_k must vanish: the force is affine in the velocity."""
+    return _nonzero(
+        "linearity", (((i, j, k), partial(a[i - 1][j - 1], ("v", k))) for i, j, k in _TRIPLES)
+    )
+
+
 def check_linearity(force: ForceLaw) -> ConditionResult:
     """Second velocity derivatives of every component must vanish."""
-    comps = force.total_components()
-    entries = []
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        value = partial(partial(comps[i - 1], ("v", j)), ("v", k))
-        entries.append(((i, j, k), value))
-    return _nonzero("linearity", entries)
+    return _linearity(_velocity_gradient(force.total_components()))
 
 
 def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
     """Evaluate the potentiality conditions symbolically.
 
-    The total time derivative in the mixed condition is taken in free mode;
-    for affine forces the acceleration terms drop out on their own.
+    The velocity gradient a_ij = dF_i/dv_j is taken once and every condition
+    is read off it.  The total time derivative in the mixed condition is
+    taken in free mode; for affine forces the acceleration terms drop out on
+    their own.
     """
     comps = force.total_components()
-    linearity = check_linearity(force)
-
-    c1 = []
-    for i, j in itertools.product((1, 2, 3), repeat=2):
-        value = partial(comps[i - 1], ("v", j)) + partial(comps[j - 1], ("v", i))
-        c1.append(((i, j), value))
-    velocity_symmetry = _nonzero("velocity-symmetry", c1)
-
-    c2 = []
-    for i, j in itertools.product((1, 2, 3), repeat=2):
-        value = (
-            partial(comps[i - 1], ("q", j))
-            - partial(comps[j - 1], ("q", i))
-            + total_time_derivative(partial(comps[j - 1], ("v", i)), mode="free")
-        )
-        c2.append(((i, j), value))
-    mixed_gradient = _nonzero("mixed-gradient", c2)
+    a = _velocity_gradient(comps)
+    linearity = _linearity(a)
+    velocity_symmetry = _nonzero(
+        "velocity-symmetry", (((i, j), a[i - 1][j - 1] + a[j - 1][i - 1]) for i, j in _PAIRS)
+    )
+    mixed = (
+        ex._sum((
+            partial(comps[i - 1], ("q", j)),
+            -partial(comps[j - 1], ("q", i)),
+            total_time_derivative(a[j - 1][i - 1], mode="free"),
+        ))
+        for i, j in _PAIRS
+    )
+    mixed_gradient = _nonzero("mixed-gradient", zip(_PAIRS, mixed))
 
     affine_anti = affine_cyc = affine_time = None
     if linearity.passed:
-        a, b = _affine_split(comps)
-        anti = [
-            ((i, j), a[i - 1][j - 1] + a[j - 1][i - 1])
-            for i, j in itertools.product((1, 2, 3), repeat=2)
-        ]
-        affine_anti = _nonzero("affine-antisymmetry", anti)
+        b = _affine_offset(comps, a)
+        # a_ij + a_ji over the same components: the velocity-symmetry entries
+        affine_anti = ConditionResult("affine-antisymmetry", velocity_symmetry.residuals)
         # The cyclic gradient condition is reported in the orientation that
         # writes the Lorentz matrix as -(e/c) eps_ijk B_k (the transpose of
         # the literal velocity gradient); its (1,2,3) entry is then exactly
         # -(e/c) div B.
-        at = [[a[j][i] for j in range(3)] for i in range(3)]
-        cyc = []
-        for i, s, j in itertools.product((1, 2, 3), repeat=3):
-            value = (
-                partial(at[i - 1][s - 1], ("q", j))
-                + partial(at[s - 1][j - 1], ("q", i))
-                + partial(at[j - 1][i - 1], ("q", s))
-            )
-            cyc.append(((i, s, j), value))
-        affine_cyc = _nonzero("affine-cyclic", cyc)
-        tcond = []
-        for i, j in itertools.product((1, 2, 3), repeat=2):
-            value = (
-                partial(b[i - 1], ("q", j))
-                - partial(b[j - 1], ("q", i))
-                - partial(a[i - 1][j - 1], ("t", None))
-            )
-            tcond.append(((i, j), value))
-        affine_time = _nonzero("affine-time", tcond)
+        cyc = (
+            ex._sum((
+                partial(a[s - 1][i - 1], ("q", j)),
+                partial(a[j - 1][s - 1], ("q", i)),
+                partial(a[i - 1][j - 1], ("q", s)),
+            ))
+            for i, s, j in _TRIPLES
+        )
+        affine_cyc = _nonzero("affine-cyclic", zip(_TRIPLES, cyc))
+        tcond = (
+            ex._sum((
+                partial(b[i - 1], ("q", j)),
+                -partial(b[j - 1], ("q", i)),
+                -partial(a[i - 1][j - 1], ("t", None)),
+            ))
+            for i, j in _PAIRS
+        )
+        affine_time = _nonzero("affine-time", zip(_PAIRS, tcond))
 
-    hessian = tuple(
-        tuple(M_SYM * rational(1 if i == j else 0) for j in (1, 2, 3))
-        for i in (1, 2, 3)
-    )
+    hessian = tuple(tuple(M_SYM if i == j else ZERO for j in range(3)) for i in range(3))
     return HelmholtzReport(
-        linearity,
-        velocity_symmetry,
-        mixed_gradient,
-        affine_anti,
-        affine_cyc,
-        affine_time,
-        hessian,
+        linearity, velocity_symmetry, mixed_gradient, affine_anti, affine_cyc, affine_time, hessian
     )
 
 
@@ -293,13 +288,14 @@ def decompose(force: ForceLaw) -> AffineDecomposition:
     Only the stored components enter; the conservative potential is kept
     separate so the field identification stays clean.
     """
-    lin = check_linearity(ForceLaw(force.components))
+    a = _velocity_gradient(force.components)
+    lin = _linearity(a)
     if not lin.passed:
         idx, witness = lin.residuals[0]
         raise PotentialConstructionError(
             f"force is not affine in velocity at {idx}", witness
         )
-    deco = AffineDecomposition(*_affine_split(force.components))
+    deco = AffineDecomposition(a, _affine_offset(force.components, a))
     for orig, back in zip(force.components, deco.reconstruct()):
         assert (orig - back).is_zero
     return deco
@@ -337,14 +333,11 @@ def _scale_degree_integral(component: Expr, shift: int) -> Expr:
     A monomial of spatial degree d turns into s^(d + shift - 1) f(x, t), so
     it just picks up the exact rational weight 1/(d + shift).
     """
-    out = ZERO
-    for coeff, cpow, atoms in component.terms:
-        degree = sum(
-            1 for a in atoms if isinstance(a, ex.Var) and a.kind == "x"
-        )
-        piece = Expr(((coeff / (degree + shift), cpow, atoms),), _canonical=True)
-        out = out + piece
-    return out
+    def weighted(coeff, cpow, atoms) -> Expr:
+        degree = sum(1 for a in atoms if isinstance(a, ex.Var) and a.kind == "x")
+        return Expr(((coeff / (degree + shift), cpow, atoms),), _canonical=True)
+
+    return ex._sum(weighted(*term) for term in component.terms)
 
 
 def poincare_vector_potential(field_B: VectorField) -> VectorField:
@@ -382,9 +375,7 @@ def scalar_potential(field_E: VectorField, vec_potential: VectorField) -> Expr:
             "electric field is not compatible with the vector potential",
             tuple(curl_g),
         )
-    a0 = ZERO
-    for i in (1, 2, 3):
-        a0 = a0 - _scale_degree_integral(g[i - 1], 1) * x(i)
+    a0 = -ex._sum(_scale_degree_integral(g[i - 1], 1) * x(i) for i in (1, 2, 3))
     residual = [gi + ai for gi, ai in zip(gradient(a0), g)]
     assert all(r.is_zero for r in residual)
     return a0
@@ -448,15 +439,13 @@ def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     vec_pot = poincare_vector_potential(field_b)
     a0 = scalar_potential(field_e, vec_pot)
 
-    lagrangian = sum(
-        (M_SYM * v(i) * v(i) / 2 for i in (1, 2, 3)), start=ZERO
-    )
     a_phase = vec_pot.to_phase()
-    for i in (1, 2, 3):
-        lagrangian = lagrangian + (E_SYM / C_SYM) * v(i) * a_phase[i - 1]
-    lagrangian = lagrangian - E_SYM * phase_space(a0)
-    if force.potential is not None:
-        lagrangian = lagrangian - force.potential
+    lagrangian = ex._sum([
+        *(M_SYM * v(i) * v(i) / 2 for i in (1, 2, 3)),
+        *((E_SYM / C_SYM) * v(i) * a_phase[i - 1] for i in (1, 2, 3)),
+        -(E_SYM * phase_space(a0)),
+        -force.potential if force.potential is not None else ZERO,
+    ])
 
     result = LagrangianExpr(lagrangian, vec_pot, a0, force.potential)
     for i, row in enumerate(result.hessian()):

@@ -83,7 +83,8 @@ class Trajectory:
         n = len(self.times)
         if n >= 2:
             steps = np.diff(self.times)
-            scale = max(abs(self.h), 1e-300)
+            # t0 + k h rounds to within a few ulps of the largest |t|
+            scale = max(abs(self.h), float(np.max(np.abs(self.times))), 1e-300)
             if np.any(steps <= 0) or np.max(np.abs(steps - self.h)) > 1e-12 * scale:
                 raise ValueError("trajectory times must increase uniformly")
 
@@ -316,18 +317,25 @@ def _compile_field(vf: VectorField, bindings: NumericBindings):
 # integrators
 
 
-def _boris_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
+def _boris_constants(h: float, bindings: NumericBindings) -> tuple[float, float]:
+    """The half kick e h / 2m and the rotation scale e h / 2mc of one run."""
+    two_mc = 2.0 * bindings.m * bindings.c
+    if two_mc == 0:
+        raise ValueError("2 m c underflows to 0; the Boris rotation is undefined")
+    return (bindings.e * h) / (2.0 * bindings.m), bindings.e * h / two_mc
+
+
+def _boris_step(r, v, t, h, e_at, b_at, consts: tuple[float, float]):
     # drift-kick-drift: half position drift, Boris velocity update with the
     # fields at the midpoint, half drift; time-symmetric, hence second order
     # with synchronized states, and exactly norm-preserving when E = 0.
     half = 0.5 * h
     x1, x2, x3 = r[0] + half * v[0], r[1] + half * v[1], r[2] + half * v[2]
-    half_acc = (bindings.e * h) / (2.0 * bindings.m)
+    half_acc, scale = consts
     e1, e2, e3 = e_at(x1, x2, x3, t + half)
     b1, b2, b3 = b_at(x1, x2, x3, t + half)
     # v- = v + half kick, t = (e h / 2 m c) B, v' = v- + v- x t
     m1, m2, m3 = v[0] + half_acc * e1, v[1] + half_acc * e2, v[2] + half_acc * e3
-    scale = bindings.e * h / (2.0 * bindings.m * bindings.c)
     t1, t2, t3 = scale * b1, scale * b2, scale * b3
     p1, p2, p3 = m1 + (m2 * t3 - m3 * t2), m2 + (m3 * t1 - m1 * t3), m3 + (m1 * t2 - m2 * t1)
     # s = 2 t / (1 + |t|^2); v+ = v- + v' x s, then the second half kick
@@ -340,10 +348,10 @@ def _boris_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
     return (x1 + half * n1, x2 + half * n2, x3 + half * n3), (n1, n2, n3)
 
 
-def _accel(r, v, t, e_at, b_at, bindings: NumericBindings):
+def _accel(r, v, t, e_at, b_at, consts: tuple[float, float]):
     e1, e2, e3 = e_at(r[0], r[1], r[2], t)
     b1, b2, b3 = b_at(r[0], r[1], r[2], t)
-    q, c = bindings.e / bindings.m, bindings.c
+    q, c = consts
     return (
         q * (e1 + (v[1] * b3 - v[2] * b2) / c),
         q * (e2 + (v[2] * b1 - v[0] * b3) / c),
@@ -359,20 +367,24 @@ def _rk4_sum(k1, k2, k3, k4):
     return tuple(a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4))
 
 
-def _rk4_step(r, v, t, h, e_at, b_at, bindings: NumericBindings):
-    k1r, k1v = v, _accel(r, v, t, e_at, b_at, bindings)
+def _rk4_step(r, v, t, h, e_at, b_at, consts: tuple[float, float]):
+    k1r, k1v = v, _accel(r, v, t, e_at, b_at, consts)
     k2r = _axpy(v, 0.5 * h, k1v)
-    k2v = _accel(_axpy(r, 0.5 * h, k1r), k2r, t + 0.5 * h, e_at, b_at, bindings)
+    k2v = _accel(_axpy(r, 0.5 * h, k1r), k2r, t + 0.5 * h, e_at, b_at, consts)
     k3r = _axpy(v, 0.5 * h, k2v)
-    k3v = _accel(_axpy(r, 0.5 * h, k2r), k3r, t + 0.5 * h, e_at, b_at, bindings)
+    k3v = _accel(_axpy(r, 0.5 * h, k2r), k3r, t + 0.5 * h, e_at, b_at, consts)
     k4r = _axpy(v, h, k3v)
-    k4v = _accel(_axpy(r, h, k3r), k4r, t + h, e_at, b_at, bindings)
+    k4v = _accel(_axpy(r, h, k3r), k4r, t + h, e_at, b_at, consts)
     r_new = _axpy(r, h / 6.0, _rk4_sum(k1r, k2r, k3r, k4r))
     v_new = _axpy(v, h / 6.0, _rk4_sum(k1v, k2v, k3v, k4v))
     return r_new, v_new
 
 
-_STEPPERS = {"boris": _boris_step, "rk4": _rk4_step}
+# each stepper with its per-run constants, computed once in integrate
+_STEPPERS = {
+    "boris": (_boris_step, _boris_constants),
+    "rk4": (_rk4_step, lambda h, bindings: (bindings.e / bindings.m, bindings.c)),
+}
 
 
 def step_boris(
@@ -413,7 +425,8 @@ def integrate(
         raise ValueError(f"unknown integrator {method!r}")
     if not h > 0 or steps < 1:
         raise ValueError("need h > 0 and steps >= 1")
-    stepper = _STEPPERS[method]
+    stepper, constants = _STEPPERS[method]
+    consts = constants(h, bindings)
     e_at, b_at = (_compile_field(vf, bindings) for vf in fields)
     times = np.empty(steps + 1)
     positions = np.empty((steps + 1, 3))
@@ -423,7 +436,7 @@ def integrate(
     # overflow is not warned about but recorded below as the first bad state
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            r, v = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, bindings)
+            r, v = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, consts)
             # uniform grid, no accumulated rounding
             times[k], positions[k], velocities[k] = state.t + k * h, r, v
     finite = (

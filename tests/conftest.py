@@ -160,6 +160,73 @@ def reference_canonical_term(coeff, cpow, atoms):
     return (coeff * best_signs.pop(), cpow, best_atoms)
 
 
+def reference_collect(terms):
+    """The ``expr._collect`` that re-derived every sort key in a second pass."""
+    acc = {}
+    for coeff, cpow, atoms in terms:
+        if coeff == 0:
+            continue
+        key = (tuple(a.key() for a in atoms), cpow)
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = (coeff, cpow, atoms)
+        else:
+            acc[key] = (prev[0] + coeff, cpow, atoms)
+    final = [t for t in acc.values() if t[0] != 0]
+    final.sort(key=lambda t: (tuple(a.key() for a in t[2]), t[1]))
+    return tuple(final)
+
+
+def reference_add(self, other):
+    """``Expr.__add__`` as it was before sums were collected once, through
+    :func:`reference_collect`."""
+    other = ex.Expr._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return ex.Expr(reference_collect(self.terms + other.terms), _canonical=True)
+
+
+def reference_atom_partial(atom, kind, idx):
+    """The ``expr._atom_partial`` that returned a canonical expression; None is zero."""
+    if isinstance(atom, (ex.Delta, ex.Eps)):
+        return None
+    if isinstance(atom, ex.Var):
+        if atom.kind != kind:
+            return None
+        if kind == "t":
+            return ex.ONE
+        if isinstance(atom.index, int) and isinstance(idx, int):
+            return ex.ONE if atom.index == idx else None
+        return ex.delta(atom.index, idx)
+    if isinstance(atom, (ex.Field, ex.Scalar)):
+        if kind == "v":
+            return None
+        dv = ("t", None) if kind == "t" else (kind, idx)
+        if isinstance(atom, ex.Field):
+            return ex._atom_expr(ex.Field(atom.family, atom.index, atom.derivs + (dv,)))
+        return ex._atom_expr(ex.Scalar(atom.family, atom.derivs + (dv,)))
+    raise TypeError(f"not an atom: {atom!r}")
+
+
+def reference_partial(expr, var):
+    """``expr.partial`` as it was: one canonical ``rest * datom`` product per
+    atom, added to the running total one at a time (through
+    :func:`reference_add`, so no step of it uses the new summation)."""
+    kind, idx = ex._as_var(var)
+    total = ex.ZERO
+    for term in expr.terms:
+        if isinstance(idx, str):
+            term = ex._rename_dummies_apart(term, {idx})
+        coeff, cpow, atoms = term
+        for pos, atom in enumerate(atoms):
+            datom = reference_atom_partial(atom, kind, idx)
+            if datom is None:
+                continue
+            rest = ex.Expr(((coeff, cpow, atoms[:pos] + atoms[pos + 1:]),))
+            total = reference_add(total, rest * datom)
+    return total
+
+
 def reference_norms(values) -> tuple[float, float]:
     """The generator-and-fsum body that ``numeric._norms`` replaced."""
     flat = np.ravel(np.asarray(values, dtype=float))

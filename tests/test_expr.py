@@ -33,7 +33,9 @@ from conftest import (
     eps_value,
     random_concrete_expr,
     random_polynomial,
+    reference_add,
     reference_canonical_term,
+    reference_partial,
 )
 
 
@@ -330,6 +332,70 @@ class TestDummyRelabeling:
         assert len(lhs.terms) == 1 and not lhs.free_indices()
         # the factorial search took minutes here; a generous bound catches it
         assert elapsed < 5.0
+
+
+@st.composite
+def carved_exprs(draw):
+    """A sum of up to three carved terms with small rational coefficients."""
+    raw = tuple(
+        (Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 2))), (0, 0, 0), atoms)
+        for atoms in draw(st.lists(carved_terms(), min_size=1, max_size=3))
+    )
+    return ex.Expr(raw)
+
+
+@st.composite
+def any_exprs(draw):
+    """Carved tensor expressions or random polynomials in (x, t) or phase space."""
+    choice = draw(st.sampled_from(["carved", "polynomial", "concrete"]))
+    if choice == "carved":
+        return draw(carved_exprs())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if choice == "polynomial":
+        return random_polynomial(rng, max_degree=3, terms=rng.randint(1, 5))
+    return random_concrete_expr(rng)
+
+
+@st.composite
+def derivative_variables(draw, expr):
+    """t, or q, v, x with a concrete index, an out-of-range one, a name the
+    expression sums over, a name free in it, or a name it does not use."""
+    kind = draw(st.sampled_from("tqvx"))
+    if kind == "t":
+        return ("t", None)
+    summed = {n for _, _, atoms in expr.terms for n, k in ex._name_counts(atoms).items() if k == 2}
+    names = sorted(summed) + sorted(expr.free_indices()) + ["n"]
+    return (kind, draw(st.sampled_from([1, 2, 3, 4] + names)))
+
+
+class TestSumAndPartial:
+    """Collect-once sums and the one-pass derivative against the
+    term-at-a-time versions they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_partial_matches_reference(self, data):
+        expr = data.draw(any_exprs())
+        var = data.draw(derivative_variables(expr))
+        try:
+            expected = reference_partial(expr, var)
+        except ex.IndexConventionError:
+            with pytest.raises(ex.IndexConventionError):
+                partial(expr, var)
+            return
+        assert partial(expr, var).terms == expected.terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(any_exprs(), min_size=1, max_size=4))
+    def test_sums_match_reference(self, exprs):
+        expected = ZERO
+        for e in exprs:
+            expected = reference_add(expected, e)
+        assert ex._sum(exprs).terms == expected.terms
+        a, b = exprs[0], exprs[-1]
+        assert (a + b).terms == reference_add(a, b).terms
+        assert (a - b).terms == reference_add(a, -b).terms
+        assert (a - a).is_zero
 
 
 class TestArithmetic:
