@@ -9,8 +9,8 @@ simulate     integrate a trajectory and attach residual reports
 grid         central-difference Maxwell residuals on a cube
 duality      swap the fields and map the kinematic constraints
 
-Exit codes: 0 pass, 1 verified-and-failed, 2 usage or parse error or an
-invalid numeric value.
+Exit codes: 0 pass, 1 verified-and-failed, 2 usage or parse error, an
+invalid numeric value or an --out path that cannot be written.
 Reports are JSON with expressions serialized as canonical DSL strings;
 identical inputs produce byte-identical output.
 """
@@ -358,9 +358,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except (ValueError, ex.ExprError) as err:
+    except (ValueError, ex.ExprError, OSError) as err:
         # invalid numeric values (non-finite states, m <= 0, dt <= 0, too few
-        # steps) and symbolic inputs the expression layer rejects
+        # steps), symbolic inputs the expression layer rejects, and an --out
+        # path that cannot be written
         print(f"{args.command}: {err}", file=sys.stderr)
         return USAGE
 

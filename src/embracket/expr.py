@@ -33,6 +33,14 @@ sibling of equal bound maps the term onto itself with the same sign, since
 the two subtrees then yield the same keys and signs.  With three or fewer
 dummies left their permutations are enumerated outright.
 
+The delta and epsilon rewrites are three rules in one tuple, tried in
+priority order: ``_delta_rule``, ``_eps_rule``, ``_eps_pair_rule``, each
+acting on the first delta, epsilon or epsilon pair by position it applies
+to.  ``_canonicalize_terms`` keeps one last-in-first-out worklist, raw terms
+taken in input order: it drops a zero term, rejects a name occurring more
+than twice, replaces a term by what the first applicable rule returns, and
+hands a term no rule changes to ``_canonical_term``.
+
 Every sum of canonical expressions goes through one private ``_sum``: it
 chains the terms of all addends and collects them once, building each
 term's sort key once, so an n-term accumulation costs one O(n log n) sort
@@ -276,119 +284,70 @@ def _fresh_name() -> str:
     return f"~{next(_gensym_counter)}"
 
 
-def _reduce_term(coeff: Fraction, cpow: tuple, atoms: Sequence[Atom]) -> list[Term]:
-    """Apply delta/epsilon rewrites until a term is stable, expanding where needed.
-
-    Returns a list of terms (the rewrites on epsilon pairs and on epsilons
-    with mixed concrete/summed indices turn one term into several).
-    """
-    out: list[Term] = []
-    work: list[tuple[Fraction, tuple, list[Atom]]] = [(coeff, cpow, list(atoms))]
-    while work:
-        c, p, ats = work.pop()
-        if c == 0:
+def _delta_rule(coeff: Fraction, atoms: tuple, counts: Mapping[str, int]) -> list | None:
+    """Remove the first Kronecker delta that can go: concrete, traced or contracted."""
+    for pos, atom in enumerate(atoms):
+        if not isinstance(atom, Delta):
             continue
-        restart = False
-        changed = True
-        while changed and not restart:
-            changed = False
-            counts = _name_counts(ats)
-            for name, n in counts.items():
-                if n > 2:
-                    raise IndexConventionError(
-                        f"index {name!r} appears {n} times in one monomial"
-                    )
-            # Kronecker deltas first: they only ever shrink the term.
-            for pos, atom in enumerate(ats):
-                if not isinstance(atom, Delta):
-                    continue
-                a, b = atom.a, atom.b
-                if isinstance(a, int) and isinstance(b, int):
-                    if a != b:
-                        c = Fraction(0)
-                    del ats[pos]
-                    changed = True
-                    break
-                if a == b:  # same symbolic name twice: the trace over 3 dims
-                    c *= 3
-                    del ats[pos]
-                    changed = True
-                    break
-                contracted = False
-                for first, second in ((a, b), (b, a)):
-                    if isinstance(first, str) and counts.get(first, 0) == 2:
-                        del ats[pos]
-                        mapping = {first: second}
-                        ats = [_rename_atom(x, mapping) for x in ats]
-                        contracted = True
-                        break
-                if contracted:
-                    changed = True
-                    break
-                if c == 0:
-                    break
-            if changed or c == 0:
-                continue
-            # Single-epsilon rules.
-            for pos, atom in enumerate(ats):
-                if not isinstance(atom, Eps):
-                    continue
-                slots = (atom.a, atom.b, atom.c)
-                if len({(s if isinstance(s, int) else ("s", s)) for s in slots}) < 3:
-                    c = Fraction(0)
-                    changed = True
-                    break
-                if all(isinstance(s, int) for s in slots):
-                    c *= _EPS_SIGN[slots]
-                    del ats[pos]
-                    changed = True
-                    break
-                if any(isinstance(s, int) for s in slots):
-                    dummy = next(
-                        (s for s in slots if isinstance(s, str) and counts.get(s, 0) == 2),
-                        None,
-                    )
-                    if dummy is not None:
-                        for val in SPATIAL_RANGE:
-                            mapping = {dummy: val}
-                            work.append((c, p, [_rename_atom(x, mapping) for x in ats]))
-                        restart = True
-                        break
-            if changed or restart:
-                continue
-            # A summed index shared by two epsilons: rewrite via the
-            # epsilon-epsilon identity (brings deltas, handled above).
-            eps_positions = [i for i, a in enumerate(ats) if isinstance(a, Eps)]
-            for i1, i2 in itertools.combinations(eps_positions, 2):
-                e1, e2 = ats[i1], ats[i2]
-                shared = sorted(
-                    s
-                    for s in _atom_indices(e1)
-                    if isinstance(s, str)
-                    and counts.get(s, 0) == 2
-                    and s in _atom_indices(e2)
-                )
-                if not shared:
-                    continue
-                n = shared[0]
+        a, b = atom.a, atom.b
+        rest = atoms[:pos] + atoms[pos + 1:]
+        if isinstance(a, int) and isinstance(b, int):
+            return [(coeff, rest)] if a == b else []
+        if a == b:  # same symbolic name twice: the trace over 3 dims
+            return [(coeff * 3, rest)]
+        for first, second in ((a, b), (b, a)):
+            if isinstance(first, str) and counts[first] == 2:
+                return [(coeff, tuple(_rename_atom(x, {first: second}) for x in rest))]
+    return None
 
-                def rotate_front(e: Eps, name: str) -> tuple:
-                    slots = [e.a, e.b, e.c]
-                    k = slots.index(name)
-                    slots = slots[k:] + slots[:k]  # cyclic: parity even
-                    return tuple(slots)
 
-                _, a1, b1 = rotate_front(e1, n)
-                _, a2, b2 = rotate_front(e2, n)
-                rest = [a for i, a in enumerate(ats) if i not in (i1, i2)]
-                work.append((c, p, rest + [Delta(a1, a2), Delta(b1, b2)]))
-                work.append((-c, p, rest + [Delta(a1, b2), Delta(b1, a2)]))
-                restart = True
-                break
-        if restart or c == 0:
+def _eps_rule(coeff: Fraction, atoms: tuple, counts: Mapping[str, int]) -> list | None:
+    """Rewrite the first epsilon that can go: a repeated slot makes the term 0,
+    concrete slots give its sign, and a summed index beside a concrete one is
+    expanded over 1, 2, 3."""
+    for pos, atom in enumerate(atoms):
+        if not isinstance(atom, Eps):
             continue
-        out.append((c, p, tuple(ats)))
-    return out
+        slots = (atom.a, atom.b, atom.c)
+        if len(set(slots)) < 3:
+            return []
+        if all(isinstance(s, int) for s in slots):
+            return [(coeff * _EPS_SIGN[slots], atoms[:pos] + atoms[pos + 1:])]
+        dummy = next((s for s in slots if isinstance(s, str) and counts[s] == 2), None)
+        if dummy is not None and any(isinstance(s, int) for s in slots):
+            return [
+                (coeff, tuple(_rename_atom(x, {dummy: val}) for x in atoms))
+                for val in SPATIAL_RANGE
+            ]
+    return None
+
+
+def _eps_pair_rule(coeff: Fraction, atoms: tuple, counts: Mapping[str, int]) -> list | None:
+    """Rewrite the first two epsilons sharing a summed index n by
+    eps_nab eps_ncd = delta_ac delta_bd - delta_ad delta_bc."""
+    eps_positions = [i for i, a in enumerate(atoms) if isinstance(a, Eps)]
+    for i1, i2 in itertools.combinations(eps_positions, 2):
+        e1, e2 = atoms[i1], atoms[i2]
+        slots1, slots2 = (e1.a, e1.b, e1.c), (e2.a, e2.b, e2.c)
+        shared = sorted(s for s in slots1 if isinstance(s, str) and counts[s] == 2 and s in slots2)
+        if not shared:
+            continue
+        # the two slots after n in cyclic (even) order
+        k1, k2 = slots1.index(shared[0]), slots2.index(shared[0])
+        a1, b1 = slots1[(k1 + 1) % 3], slots1[(k1 + 2) % 3]
+        a2, b2 = slots2[(k2 + 1) % 3], slots2[(k2 + 2) % 3]
+        rest = tuple(a for i, a in enumerate(atoms) if i not in (i1, i2))
+        return [
+            (coeff, rest + (Delta(a1, a2), Delta(b1, b2))),
+            (-coeff, rest + (Delta(a1, b2), Delta(b1, a2))),
+        ]
+    return None
+
+
+# Delta/epsilon rewrites in priority order.  Each takes (coeff, atoms, name
+# counts) and returns the (coeff, atoms) terms that replace the term, or None
+# when it does not apply.  Deltas go first: they only ever shrink the term.
+_RULES = (_delta_rule, _eps_rule, _eps_pair_rule)
 
 
 # Dummy indices are relabeled into this pool (skipping any name already free
@@ -516,9 +475,22 @@ def _sum(exprs: Iterable["Expr"]) -> "Expr":
 
 def _canonicalize_terms(raw: Iterable[Term]) -> tuple[Term, ...]:
     pieces: list[Term] = []
-    for coeff, cpow, atoms in raw:
-        for rc, rp, rats in _reduce_term(coeff, cpow, atoms):
-            ct = _canonical_term(rc, rp, rats)
+    work = list(raw)[::-1]  # popped last first: raw terms in input order
+    while work:
+        coeff, cpow, atoms = work.pop()
+        if coeff == 0:
+            continue
+        counts = _name_counts(atoms)
+        for name, n in counts.items():
+            if n > 2:
+                raise IndexConventionError(f"index {name!r} appears {n} times in one monomial")
+        for rule in _RULES:
+            out = rule(coeff, atoms, counts)
+            if out is not None:
+                work.extend((c, cpow, ats) for c, ats in out)
+                break
+        else:
+            ct = _canonical_term(coeff, cpow, atoms)
             if ct is not None:
                 pieces.append(ct)
     return _collect(pieces)

@@ -82,11 +82,13 @@ class Trajectory:
     def __post_init__(self):
         n = len(self.times)
         if n >= 2:
-            steps = np.diff(self.times)
-            # t0 + k h rounds to within a few ulps of the largest |t|
-            scale = max(abs(self.h), float(np.max(np.abs(self.times))), 1e-300)
-            if np.any(steps <= 0) or np.max(np.abs(steps - self.h)) > 1e-12 * scale:
-                raise ValueError("trajectory times must increase uniformly")
+            # overflowed times (inf - inf is nan) are flagged by first_nonfinite, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = np.diff(self.times)
+                # t0 + k h rounds to within a few ulps of the largest |t|
+                scale = max(abs(self.h), float(np.max(np.abs(self.times))), 1e-300)
+                if np.any(steps <= 0) or np.max(np.abs(steps - self.h)) > 1e-12 * scale:
+                    raise ValueError("trajectory times must increase uniformly")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -250,24 +252,43 @@ class CompiledExpr:
                 raise ValueError("a coefficient is too large for a float") from None
             table.append((value, cpow, tuple(slots)))
         self.table = tuple(table)
+        self.needs_velocity = any(3 <= s < 6 for _, _, slots in table for s in slots)
+
+    def folded(self, bindings: NumericBindings) -> tuple:
+        """The (coefficient, slots) terms with e, m and c folded in by ``_constant``."""
+        return tuple((_constant(c, cpow, bindings), slots) for c, cpow, slots in self.table)
 
     def __call__(self, position, velocity, time, bindings: NumericBindings):
-        values = [
-            position[0], position[1], position[2],
-            None if velocity is None else velocity[0],
-            None if velocity is None else velocity[1],
-            None if velocity is None else velocity[2],
-            time,
-        ]
+        if velocity is None and self.needs_velocity:
+            raise UnboundSymbolError("expression needs a velocity value")
+        vel = (None, None, None) if velocity is None else velocity
+        values = (position[0], position[1], position[2], vel[0], vel[1], vel[2], time)
+        return _sums((self.folded(bindings),), values)[0]
+
+
+def _sums(tables: Sequence[tuple], values: Sequence) -> list:
+    """For each folded table, every coefficient times its slot values, left to
+    right, summed in term order."""
+    out = []
+    for terms in tables:
         total = 0.0
-        for coeff, cpow, slots in self.table:
-            piece = _constant(coeff, cpow, bindings)
+        for piece, slots in terms:
             for s in slots:
-                if values[s] is None:
-                    raise UnboundSymbolError("expression needs a velocity value")
                 piece = piece * values[s]
             total = total + piece
-        return total
+        out.append(total)
+    return out
+
+
+def _samples(exprs, shape, position, velocity, time, bindings) -> list[np.ndarray]:
+    """Each expression over the sample arrays as a read-only float array of the
+    given shape (a broadcast view: only sliced and read, ``np.stack`` copies).
+    All are compiled before any is evaluated."""
+    compiled = [CompiledExpr(e) for e in exprs]
+    return [
+        np.broadcast_to(np.asarray(f(position, velocity, time, bindings), dtype=float), shape)
+        for f in compiled
+    ]
 
 
 def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time: float = 0.0):
@@ -284,31 +305,17 @@ def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time
 
 
 def _compile_field(vf: VectorField, bindings: NumericBindings):
-    """Compile a vector field once into a function (x1, x2, x3, t) -> three floats.
-
-    Each term's coefficient has e, m and c folded in (``_constant``); the term
-    is that float times its slot values, summed as ``CompiledExpr`` sums.
-    """
+    """Compile a vector field once into a function (x1, x2, x3, t) -> three floats,
+    each summed as ``CompiledExpr`` sums, with e, m and c folded in once."""
     comps = []
     for comp in vf:
-        terms = []
-        for coeff, cpow, slots in CompiledExpr(comp).table:
-            if any(3 <= s < 6 for s in slots):
-                raise UnboundSymbolError("expression needs a velocity value")
-            terms.append((_constant(coeff, cpow, bindings), slots))
-        comps.append(terms)
+        compiled = CompiledExpr(comp)
+        if compiled.needs_velocity:
+            raise UnboundSymbolError("expression needs a velocity value")
+        comps.append(compiled.folded(bindings))
 
     def at(x1: float, x2: float, x3: float, t: float) -> list[float]:
-        values = (x1, x2, x3, None, None, None, t)
-        out = []
-        for terms in comps:
-            total = 0.0
-            for piece, slots in terms:
-                for s in slots:
-                    piece = piece * values[s]
-                total = total + piece
-            out.append(total)
-        return out
+        return _sums(comps, (x1, x2, x3, None, None, None, t))
 
     return at
 
@@ -481,17 +488,12 @@ def el_residual(
     if len(traj) < 5:
         raise ValueError("need at least 5 trajectory points")
     l_expr = lagrangian.L if hasattr(lagrangian, "L") else lagrangian
-    momenta = [CompiledExpr(ex.partial(l_expr, ("v", i))) for i in (1, 2, 3)]
-    gradients = [CompiledExpr(ex.partial(l_expr, ("q", i))) for i in (1, 2, 3)]
+    derivs = [ex.partial(l_expr, (kind, i)) for kind in "vq" for i in (1, 2, 3)]
     pos = tuple(traj.positions[:, k] for k in range(3))
     vel = tuple(traj.velocities[:, k] for k in range(3))
-
-    def sample(f: CompiledExpr) -> np.ndarray:  # a read-only view; np.stack copies
-        value = f(pos, vel, traj.times, bindings)
-        return np.broadcast_to(np.asarray(value, dtype=float), (len(traj),))
-
-    p = np.stack([sample(f) for f in momenta], axis=1)
-    dl_dq = np.stack([sample(f) for f in gradients], axis=1)
+    sampled = _samples(derivs, (len(traj),), pos, vel, traj.times, bindings)
+    p = np.stack(sampled[:3], axis=1)
+    dl_dq = np.stack(sampled[3:], axis=1)
     dp_dt = (p[2:] - p[:-2]) / (2.0 * traj.h)
     residual = dp_dt - dl_dq[1:-1]
     return ResidualReport([_entry("euler-lagrange", residual, traj.h)])
@@ -516,12 +518,11 @@ def energy_check(
             raise ValueError(f"{name} must be static for the energy check")
     pos = tuple(traj.positions[:, k] for k in range(3))
     kinetic = 0.5 * bindings.m * np.sum(traj.velocities**2, axis=1)
-    a0 = CompiledExpr(scalar_pot)(pos, None, traj.times, bindings)
-    h_series = kinetic + bindings.e * np.asarray(a0, dtype=float)
+    pots = [scalar_pot] if conservative is None else [scalar_pot, conservative]
+    sampled = _samples(pots, (len(traj),), pos, None, traj.times, bindings)
+    h_series = kinetic + bindings.e * sampled[0]
     if conservative is not None:
-        h_series = h_series + np.asarray(
-            CompiledExpr(conservative)(pos, None, traj.times, bindings), dtype=float
-        )
+        h_series = h_series + sampled[1]
     h0 = float(h_series[0])
     scale = abs(h0) if abs(h0) > 1e-300 else 1.0
     drift = np.abs(h_series - h0) / scale
@@ -638,18 +639,12 @@ def maxwell_grid_residuals(
     field_E, field_B = fields
     axis = grid.axis()
     mesh = np.meshgrid(axis, axis, axis, indexing="ij")
-    pos = (mesh[0], mesh[1], mesh[2])
-    t0 = grid.t0
+    at_mesh = (mesh[0].shape, mesh, None, grid.t0, bindings)
     h = grid.h
-
-    def sample(comp: Expr) -> np.ndarray:  # a read-only view, only sliced and read
-        value = CompiledExpr(comp)(pos, None, t0, bindings)
-        return np.broadcast_to(np.asarray(value, dtype=float), mesh[0].shape)
-
-    e_vals = [sample(c) for c in field_E]
-    b_vals = [sample(c) for c in field_B]
-    de_dt = [sample(ex.partial(c, ("t", None))) for c in field_E]
-    db_dt = [sample(ex.partial(c, ("t", None))) for c in field_B]
+    comps = [*field_E, *field_B]
+    comps += [ex.partial(c, ("t", None)) for c in comps]
+    sampled = _samples(comps, *at_mesh)
+    e_vals, b_vals, de_dt, db_dt = (sampled[k : k + 3] for k in (0, 3, 6, 9))
 
     def div_fd(vals) -> np.ndarray:
         return sum(_central_diff(vals[k], k, h) for k in range(3))
@@ -672,14 +667,14 @@ def maxwell_grid_residuals(
 
     div_e = div_fd(e_vals)
     if charge_density is not None:
-        rho = _interior(sample(charge_density))
+        rho = _interior(_samples([charge_density], *at_mesh)[0])
         entries.append(_entry("gauss-electric", div_e - rho, h))
     else:
         entries.append(_entry("implied-charge-density", div_e, h))
 
     curl_b = curl_fd(b_vals)
     if current_density is not None:
-        j_vals = [_interior(sample(c)) for c in current_density]
+        j_vals = [_interior(v) for v in _samples(current_density, *at_mesh)]
         ampere = [
             curl_b[k] - (j_vals[k] + _interior(de_dt[k])) / bindings.c
             for k in range(3)

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -158,6 +159,133 @@ def reference_canonical_term(coeff, cpow, atoms):
     if len(best_signs) == 2:
         return None
     return (coeff * best_signs.pop(), cpow, best_atoms)
+
+
+def reference_reduce_term(coeff: Fraction, cpow: tuple, atoms: Sequence[ex.Atom]) -> list[ex.Term]:
+    """Apply delta/epsilon rewrites until a term is stable, expanding where needed.
+
+    Returns a list of terms (the rewrites on epsilon pairs and on epsilons
+    with mixed concrete/summed indices turn one term into several).
+    """
+    out: list[ex.Term] = []
+    work: list[tuple[Fraction, tuple, list[ex.Atom]]] = [(coeff, cpow, list(atoms))]
+    while work:
+        c, p, ats = work.pop()
+        if c == 0:
+            continue
+        restart = False
+        changed = True
+        while changed and not restart:
+            changed = False
+            counts = ex._name_counts(ats)
+            for name, n in counts.items():
+                if n > 2:
+                    raise ex.IndexConventionError(
+                        f"index {name!r} appears {n} times in one monomial"
+                    )
+            # Kronecker deltas first: they only ever shrink the term.
+            for pos, atom in enumerate(ats):
+                if not isinstance(atom, ex.Delta):
+                    continue
+                a, b = atom.a, atom.b
+                if isinstance(a, int) and isinstance(b, int):
+                    if a != b:
+                        c = Fraction(0)
+                    del ats[pos]
+                    changed = True
+                    break
+                if a == b:  # same symbolic name twice: the trace over 3 dims
+                    c *= 3
+                    del ats[pos]
+                    changed = True
+                    break
+                contracted = False
+                for first, second in ((a, b), (b, a)):
+                    if isinstance(first, str) and counts.get(first, 0) == 2:
+                        del ats[pos]
+                        mapping = {first: second}
+                        ats = [ex._rename_atom(x, mapping) for x in ats]
+                        contracted = True
+                        break
+                if contracted:
+                    changed = True
+                    break
+                if c == 0:
+                    break
+            if changed or c == 0:
+                continue
+            # Single-epsilon rules.
+            for pos, atom in enumerate(ats):
+                if not isinstance(atom, ex.Eps):
+                    continue
+                slots = (atom.a, atom.b, atom.c)
+                if len({(s if isinstance(s, int) else ("s", s)) for s in slots}) < 3:
+                    c = Fraction(0)
+                    changed = True
+                    break
+                if all(isinstance(s, int) for s in slots):
+                    c *= ex._EPS_SIGN[slots]
+                    del ats[pos]
+                    changed = True
+                    break
+                if any(isinstance(s, int) for s in slots):
+                    dummy = next(
+                        (s for s in slots if isinstance(s, str) and counts.get(s, 0) == 2),
+                        None,
+                    )
+                    if dummy is not None:
+                        for val in ex.SPATIAL_RANGE:
+                            mapping = {dummy: val}
+                            work.append((c, p, [ex._rename_atom(x, mapping) for x in ats]))
+                        restart = True
+                        break
+            if changed or restart:
+                continue
+            # A summed index shared by two epsilons: rewrite via the
+            # epsilon-epsilon identity (brings deltas, handled above).
+            eps_positions = [i for i, a in enumerate(ats) if isinstance(a, ex.Eps)]
+            for i1, i2 in itertools.combinations(eps_positions, 2):
+                e1, e2 = ats[i1], ats[i2]
+                shared = sorted(
+                    s
+                    for s in ex._atom_indices(e1)
+                    if isinstance(s, str)
+                    and counts.get(s, 0) == 2
+                    and s in ex._atom_indices(e2)
+                )
+                if not shared:
+                    continue
+                n = shared[0]
+
+                def rotate_front(e: ex.Eps, name: str) -> tuple:
+                    slots = [e.a, e.b, e.c]
+                    k = slots.index(name)
+                    slots = slots[k:] + slots[:k]  # cyclic: parity even
+                    return tuple(slots)
+
+                _, a1, b1 = rotate_front(e1, n)
+                _, a2, b2 = rotate_front(e2, n)
+                rest = [a for i, a in enumerate(ats) if i not in (i1, i2)]
+                work.append((c, p, rest + [ex.Delta(a1, a2), ex.Delta(b1, b2)]))
+                work.append((-c, p, rest + [ex.Delta(a1, b2), ex.Delta(b1, a2)]))
+                restart = True
+                break
+        if restart or c == 0:
+            continue
+        out.append((c, p, tuple(ats)))
+    return out
+
+
+def reference_canonicalize_terms(raw: Iterable[ex.Term]) -> tuple[ex.Term, ...]:
+    """The ``expr._canonicalize_terms`` that the rule worklist replaced: each
+    raw term goes through the flag loop of :func:`reference_reduce_term`."""
+    pieces: list[ex.Term] = []
+    for coeff, cpow, atoms in raw:
+        for rc, rp, rats in reference_reduce_term(coeff, cpow, atoms):
+            ct = ex._canonical_term(rc, rp, rats)
+            if ct is not None:
+                pieces.append(ct)
+    return ex._collect(pieces)
 
 
 def reference_collect(terms):

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, report files, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from embracket import expr as ex
 from embracket import helmholtz as hh
@@ -309,6 +313,7 @@ class TestNonFiniteQuiet:
         [
             ("grid", "--field-B", "x2^2;x3;x1", "--extent", "1e200"),
             ("simulate", "--v0", "1e200,0,0", "--dt", "1e200", "--steps", "5"),
+            ("simulate", "--dt", "1e308", "--steps", "5"),
         ],
     )
     def test_no_numpy_warnings(self, capsys, tmp_path, argv):
@@ -494,3 +499,113 @@ class TestGoldenReports:
     def test_report_bytes(self, capsys, argv, digest):
         code, stdout, _ = run(capsys, *argv)
         assert hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest() == digest
+
+
+# values the commands accept, repeated so that most draws reach the checks,
+# then the adversarial ones
+_NUMBER = st.sampled_from(
+    ["1", "0.5", "2", "0.1"] * 4
+    + ["nan", "inf", "-inf", "0", "-0", "1e-300", "1e300", "1e308", "-1", "abc", ""]
+)
+
+
+def _dsl(variables: list[str]):
+    """Small expressions over the given variables, now and then with a token
+    the DSL rejects."""
+    leaves = st.sampled_from(
+        variables * 3 + ["e", "m", "c", "0", "2", "1/2"] + ["99999", "q4", "?", ""]
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map("".join),
+            st.tuples(inner, st.sampled_from(["^2", "^3", "^0", "^-1"])).map("".join),
+            inner.map(lambda s: f"({s})"),
+            inner.map(lambda s: f"-{s}"),
+        ),
+        max_leaves=4,
+    )
+
+
+def _joined(part, sep: str):
+    """Mostly three parts joined by sep, now and then a wrong count of them."""
+    counts = st.sampled_from([3] * 6 + [0, 1, 2, 4])
+    return counts.flatmap(lambda n: st.lists(part, min_size=n, max_size=n)).map(sep.join)
+
+
+_FIELD = _joined(_dsl(["x1", "x2", "x3", "t", "0"]), ";")
+_FORCE = _joined(_dsl(["q1", "q2", "q3", "v1", "v2", "v3", "t", "0"]), ";")
+_STATE = _joined(_NUMBER, ",")
+_COMMON = {"--e": _NUMBER, "--m": _NUMBER, "--c": _NUMBER, "--json": None, "--out": None}
+_FLAGS = {
+    "derive": {"--field-E": _FIELD, "--field-B": _FIELD},
+    "check": {"--force": _FORCE, "--potential-U": _dsl(["x1", "x2", "x3", "t"])},
+    "simulate": {
+        "--dt": _NUMBER,
+        "--steps": st.sampled_from(["5", "12", "20", "-1", "0", "1", "nan", "2.5"]),
+        "--field-E": _FIELD,
+        "--field-B": _FIELD,
+        "--x0": _STATE,
+        "--v0": _STATE,
+        "--method": st.sampled_from(["boris", "rk4", "euler"]),
+    },
+    "grid": {
+        "--n": st.sampled_from(["5", "7", "9", "-1", "0", "4", "x"]),
+        "--field-E": _FIELD,
+        "--field-B": _FIELD,
+        "--extent": _NUMBER,
+        "--t0": _NUMBER,
+    },
+    "duality": {"--field-E": _FIELD, "--field-B": _FIELD},
+}
+_FLAGS["reconstruct"] = _FLAGS["check"]
+_REQUIRED = {"check": ["--force"], "reconstruct": ["--force"], "simulate": ["--dt", "--steps"]}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand, its required flags (now and then one left out) and some
+    other flags, with adversarial values; --out names a file or a directory
+    under ``<dir>``, which the test fills in."""
+    command = draw(st.sampled_from(sorted(_FLAGS) * 3 + ["bogus"]))
+    flags = {**_FLAGS.get(command, {}), **_COMMON}
+    if not draw(st.integers(0, 9)):
+        flags["--bogus"] = _NUMBER
+    required = [f for f in _REQUIRED.get(command, []) if draw(st.integers(0, 9))]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5))
+    argv = [command]
+    for flag in required + [f for f in chosen if f not in required]:
+        argv.append(flag)
+        if flag == "--out":
+            argv.append(draw(st.sampled_from(["<dir>/report", "<dir>/report", "<dir>"])))
+        elif flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    return argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+class TestFuzz:
+    """Adversarial argvs: the exit-code contract, no traceback, no numpy
+    warning and strict JSON hold for every input."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cli_argvs())
+    def test_exit_contract(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # simulate's default CSV lands here
+        argv = [a.replace("<dir>", str(tmp_path)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert [str(w.message) for w in caught] == [], argv
+        if code in (0, 1) and "--json" in argv:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -35,6 +35,7 @@ from conftest import (
     random_polynomial,
     reference_add,
     reference_canonical_term,
+    reference_canonicalize_terms,
     reference_partial,
 )
 
@@ -332,6 +333,88 @@ class TestDummyRelabeling:
         assert len(lhs.terms) == 1 and not lhs.free_indices()
         # the factorial search took minutes here; a generous bound catches it
         assert elapsed < 5.0
+
+
+@st.composite
+def rewrite_terms(draw):
+    """One raw term mixing every delta/epsilon rewrite; each name occurs at most twice.
+
+    Motifs leave some names open (used once); each open name then stays free,
+    is closed by a variable or field atom, or two of them are closed by one
+    differentiated field, which makes them summed.
+    """
+    fresh = iter(f"n{k}" for k in range(100))
+    ints = st.integers(1, 3)
+    atoms: list = []
+    kinds = st.sampled_from([0, 1, 2, 2, 3, 4, 5, 5, 6, 7, 8])  # fewer that zero the term
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        a, b, c, d = (next(fresh) for _ in range(4))
+        if kind == 0:  # concrete delta, equal or unequal
+            atoms.append(ex.Delta(draw(ints), draw(ints)))
+        elif kind == 1:  # traced delta
+            atoms.append(ex.Delta(a, a))
+        elif kind == 2:  # contracted, free or mixed, as the names are closed
+            atoms.append(ex.Delta(a, draw(st.sampled_from([b, 1, 2, 3]))))
+        elif kind == 3:  # concrete epsilon, possibly with a repeated value
+            slots = draw(st.one_of(st.permutations([1, 2, 3]), st.tuples(ints, ints, ints)))
+            atoms.append(ex.Eps(*slots))
+        elif kind == 4:  # repeated name
+            slots = [a, a, draw(st.sampled_from([b, 2]))]
+            atoms.append(ex.Eps(*draw(st.permutations(slots))))
+        elif kind == 5:  # concrete and summed slots
+            slots = [draw(ints), a, draw(st.sampled_from([b, 3]))]
+            atoms.append(ex.Eps(*draw(st.permutations(slots))))
+        elif kind in (6, 7):  # an epsilon pair sharing one to three names
+            shared = [a, b, c][: draw(st.integers(1, 3))]
+            for _ in range(2):
+                own = [next(fresh) for _ in range(3 - len(shared))]
+                atoms.append(ex.Eps(*draw(st.permutations(shared + own))))
+        else:  # a chain eps_abc eps_cde eps_eaf
+            e, f = next(fresh), next(fresh)
+            for slots in ([a, b, c], [c, d, e], [e, a, f]):
+                atoms.append(ex.Eps(*draw(st.permutations(slots))))
+    opens = [n for n, k in ex._name_counts(atoms).items() if k == 1]
+    opens = list(draw(st.permutations(opens)))
+    while opens:
+        name = opens.pop()
+        close = draw(st.sampled_from(["free", "var", "field", "grad"]))
+        if close == "var":
+            atoms.append(ex.Var(draw(st.sampled_from("qvx")), name))
+        elif close == "field":
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), name))
+        elif close == "grad":
+            other = opens.pop() if opens else draw(ints)
+            derivs = draw(st.sampled_from([(("q", other),), (("x", other), ("t", None))]))
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), name, derivs))
+    return tuple(draw(st.permutations(atoms)))
+
+
+class TestRuleWorklist:
+    """The delta/epsilon rule worklist against the flag loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]),
+                st.sampled_from([(0, 0, 0), (1, 0, -1)]),
+                rewrite_terms(),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_matches_reference(self, raw):
+        assert ex._canonicalize_terms(raw) == reference_canonicalize_terms(raw)
+
+    def test_triple_index_raises_on_both_sides(self):
+        atoms = (ex.Eps("i", 1, "j"), ex.Var("v", "i"), ex.Field("B", "j"), ex.Var("q", "i"))
+        raw = ((Fraction(1), (0, 0, 0), atoms),)
+        with pytest.raises(ex.IndexConventionError) as new:
+            ex._canonicalize_terms(raw)
+        with pytest.raises(ex.IndexConventionError) as old:
+            reference_canonicalize_terms(raw)
+        assert str(new.value) == str(old.value)
 
 
 @st.composite
