@@ -11,9 +11,12 @@ The bracket is defined by a small rule table on atoms
 
 extended to arbitrary polynomial expressions in q, v with field-component
 coefficients by bilinearity and the Leibniz (derivation) property in each
-argument.  Antisymmetry and Leibniz then hold identically; the Jacobi
-identity holds only up to expressions in the field derivatives, and those
-residuals are exactly the constraints the derivation chain extracts.
+argument.  On two atom products that extension is one flat sum over atom
+pairs, {x, y} times all the other atoms, canonicalized once; nothing is
+cached, so :func:`bracket` is a pure function.  Antisymmetry and Leibniz
+then hold identically; the Jacobi identity holds only up to expressions in
+the field derivatives, and those residuals are exactly the constraints the
+derivation chain extracts.
 
 Each derivation returns a :class:`DerivationReport` whose steps name the
 rule applied and carry canonical input/output strings, so the whole chain
@@ -30,7 +33,9 @@ from typing import Optional, Sequence
 from . import expr as ex
 from .expr import (
     C_SYM,
+    Delta,
     E_SYM,
+    Eps,
     Field,
     M_SYM,
     Scalar,
@@ -38,7 +43,6 @@ from .expr import (
     Var,
     VectorField,
     ZERO,
-    delta,
     eps,
     field_component,
     instantiate_indices,
@@ -48,8 +52,6 @@ from .expr import (
     total_time_derivative,
     v,
 )
-
-_VV_PREFACTOR = E_SYM / (M_SYM**2 * C_SYM)
 
 
 def _atom_class(atom) -> str:
@@ -64,91 +66,26 @@ def _atom_class(atom) -> str:
     return "const"  # Delta / Eps
 
 
-def _grad_q(atom, idx) -> Expr:
-    """d(atom)/dq_idx for a (position, t)-function atom."""
-    return partial(ex._atom_expr(atom), ("q", idx))
-
-
-def _bracket_atoms(a, b) -> Expr:
+def _bracket_atoms(a, b) -> list:
+    """The rule table: {a, b} for two atoms as raw (coeff, cpow, atoms) terms."""
     ca, cb = _atom_class(a), _atom_class(b)
     if "bad" in (ca, cb):
         bad = a if ca == "bad" else b
         raise UnsupportedOperandError(
             f"no bracket rule for operand {bad!r}"
         )
-    if "const" in (ca, cb):
-        return ZERO
-    if ca == "q" and cb == "q":
-        return ZERO
-    if ca == "q" and cb == "v":
-        return delta(a.index, b.index) / M_SYM
-    if ca == "v" and cb == "q":
-        return -delta(a.index, b.index) / M_SYM
-    if ca == "v" and cb == "v":
+    pair = ca + cb
+    if pair in ("qv", "vq"):
+        sign = 1 if pair == "qv" else -1
+        return [(Fraction(sign), (0, -1, 0), (Delta(a.index, b.index),))]
+    if pair == "vv":
         k = ex._fresh_name()
-        return _VV_PREFACTOR * eps(a.index, b.index, k) * field_component("B", k)
-    if ca == "q" and cb == "f":
-        return ZERO
-    if ca == "f" and cb == "q":
-        return ZERO
-    if ca == "v" and cb == "f":
-        return -_grad_q(b, a.index) / M_SYM
-    if ca == "f" and cb == "v":
-        return _grad_q(a, b.index) / M_SYM
-    return ZERO  # two (position, t)-functions commute
-
-
-# Keyed by alpha-normal atom pairs, so one-off fresh dummy names neither
-# miss the cache nor grow it.
-_mono_cache: dict[tuple, Expr] = {}
-
-
-def _alpha_normal(atoms_a: tuple, atoms_b: tuple) -> tuple[tuple, tuple]:
-    """Rename the pair's summed indices to ~s0, ~s1, ... in order of first appearance.
-
-    The bracket keeps every summed index of the pair summed in each term of
-    its canonical result, so the result does not depend on their names.
-    """
-    counts = ex._name_counts(atoms_a + atoms_b)
-    if 2 not in counts.values():
-        return atoms_a, atoms_b
-    summed = dict.fromkeys(
-        idx
-        for atom in atoms_a + atoms_b
-        for idx in ex._atom_indices(atom)
-        if counts.get(idx) == 2
-    )
-    names = (f"~s{n}" for n in itertools.count() if counts.get(f"~s{n}") != 1)
-    mapping = dict(zip(summed, names))
-    return tuple(
-        tuple(ex._rename_atom(a, mapping) for a in atoms) for atoms in (atoms_a, atoms_b)
-    )
-
-
-def _bracket_mono(atoms_a: tuple, atoms_b: tuple) -> Expr:
-    """Bracket of two atom products, reduced by the Leibniz rule."""
-    if not atoms_a or not atoms_b:
-        return ZERO
-    atoms_a, atoms_b = key = _alpha_normal(atoms_a, atoms_b)
-    cached = _mono_cache.get(key)
-    if cached is not None:
-        return cached
-    if len(atoms_b) > 1:
-        b0, rest = atoms_b[0], atoms_b[1:]
-        result = (
-            ex._atom_expr(b0) * _bracket_mono(atoms_a, rest)
-            + _bracket_mono(atoms_a, (b0,)) * ex._atom_expr(*rest)
-        )
-    elif len(atoms_a) > 1:
-        a0, rest = atoms_a[0], atoms_a[1:]
-        result = (
-            ex._atom_expr(a0) * _bracket_mono(rest, atoms_b)
-            + _bracket_mono((a0,), atoms_b) * ex._atom_expr(*rest)
-        )
-    else:
-        result = _bracket_atoms(atoms_a[0], atoms_b[0])
-    _mono_cache[key] = result
-    return result
+        return [(Fraction(1), (1, -2, -1), (Eps(a.index, b.index, k), Field("B", k)))]
+    if pair in ("vf", "fv"):
+        sign, vel, fn = (-1, a, b) if pair == "vf" else (1, b, a)
+        grad = ex._atom_partial(fn, "q", vel.index)
+        return [] if grad is None else [(Fraction(sign), (0, -1, 0), grad)]
+    return []  # constants, {q, q}, {q, f} and two (position, t)-functions
 
 
 def bracket(a: Expr, b: Expr) -> Expr:
@@ -156,14 +93,20 @@ def bracket(a: Expr, b: Expr) -> Expr:
 
     Bilinear in both arguments; shared free indices contract across the
     arguments per the Einstein convention, while each argument's internal
-    summed indices are kept private.
+    summed indices are kept private.  By the Leibniz rule the bracket of two
+    atom products is the sum, over every atom x of the first and y of the
+    second, of {x, y} times all the other atoms; the raw terms of every pair
+    are canonicalized once.
     """
-    pieces = []
+    raw = []
     for coeff, cpow, atoms_a, atoms_b in ex._term_pairs(a, b):
-        piece = _bracket_mono(atoms_a, atoms_b)
-        if not piece.is_zero:
-            pieces.append(ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece)
-    return ex._sum(pieces)
+        for i, x in enumerate(atoms_a):
+            for j, y in enumerate(atoms_b):
+                rest = atoms_a[:i] + atoms_a[i + 1:] + atoms_b[:j] + atoms_b[j + 1:]
+                for c, p, atoms in _bracket_atoms(x, y):
+                    power = tuple(u + w for u, w in zip(cpow, p))
+                    raw.append((coeff * c, power, atoms + rest))
+    return ex.Expr(tuple(raw))
 
 
 def jacobi_residual(a: Expr, b: Expr, c: Expr) -> Expr:
@@ -328,6 +271,16 @@ def _joined_distinct(exprs) -> str:
     return _joined(sorted({str(p) for p in exprs}, key=lambda s: (s != "0", s)))
 
 
+def _multiple(expr: Expr, reference: Expr) -> Fraction:
+    """The k for which k * reference is expr's term on the monomial of the
+    single-term reference; 0 when expr has no such term."""
+    ((ref_coeff, ref_cpow, ref_atoms),) = reference.terms
+    for coeff, cpow, atoms in expr.terms:
+        if (cpow, atoms) == (ref_cpow, ref_atoms):
+            return coeff / ref_coeff
+    return Fraction(0)
+
+
 def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
     """Certify that {q_i, F_j} is a position-only antisymmetric tensor.
 
@@ -472,12 +425,8 @@ def derive_divB() -> DerivationReport:
     )
     div_b = div_b_expression()
     scaled = (E_SYM / (M_SYM**3 * C_SYM)) * div_b
-    kappa = None
-    if len(contracted.terms) == 1 and len(scaled.terms) == 1:
-        ct, st = contracted.terms[0], scaled.terms[0]
-        if ct[1] == st[1] and ct[2] == st[2]:
-            kappa = ct[0] / st[0]
-    ok = kappa is not None and contracted == ex.rational(kappa) * scaled
+    kappa = _multiple(contracted, scaled)
+    ok = kappa != 0 and contracted == ex.rational(kappa) * scaled
     report.add(
         "divergence-extraction",
         "the contracted residual is a single rational multiple of "
@@ -486,8 +435,7 @@ def derive_divB() -> DerivationReport:
         div_b,
         ok=ok,
     )
-    if kappa is not None:
-        report.notes["velocity-jacobi-multiple"] = str(kappa)
+    report.notes["velocity-jacobi-multiple"] = str(kappa)
     report.constraints.append(Constraint("magnetic-divergence", div_b))
     return report
 
@@ -528,11 +476,7 @@ def derive_faraday(use_divB: bool = True) -> DerivationReport:
     residual = lhs - rhs
     div_b = div_b_expression()
     div_term = v("s") * div_b
-    kappa = Fraction(0)
-    for coeff, cpow, atoms in residual.terms:
-        for dc, dp, datoms in div_term.terms:
-            if cpow == dp and atoms == datoms:
-                kappa = coeff / dc
+    kappa = _multiple(residual, div_term)
     reduced = residual - ex.rational(kappa) * div_term
     report.notes["divergence-coupling"] = str(kappa)
     expected = C_SYM * faraday_expression()

@@ -258,11 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--out", default=None, help="write the report (or CSV) here")
+        p.add_argument("--json", action="store_true", help="print full JSON to stdout")
+
+    def constants(p):
+        # only the numeric subcommands evaluate e, m and c
         p.add_argument("--e", type=float, default=1.0, help="charge value")
         p.add_argument("--m", type=float, default=1.0, help="mass value")
         p.add_argument("--c", type=float, default=1.0, help="light-speed value")
-        p.add_argument("--out", default=None, help="write the report (or CSV) here")
-        p.add_argument("--json", action="store_true", help="print full JSON to stdout")
 
     p = sub.add_parser("derive", help="replay the bracket derivation chain")
     p.add_argument("--field-E", default=None, help='electric field "ex;ey;ez"')
@@ -290,15 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--method", choices=("boris", "rk4"), default="boris")
+    constants(p)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("grid", help="grid Maxwell residuals")
     p.add_argument("--field-E", default=None)
     p.add_argument("--field-B", default=None)
-    p.add_argument("--n", type=int, default=9, help="points per axis (at least 5)")
+    p.add_argument("--n", type=int, default=9, help="points per axis (5 to 257)")
     p.add_argument("--extent", type=float, default=1.0, help="half-width of the cube")
     p.add_argument("--t0", type=float, default=0.0, help="sample time")
+    constants(p)
     common(p)
     p.set_defaults(func=cmd_grid)
 

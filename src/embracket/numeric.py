@@ -103,6 +103,13 @@ class Trajectory:
             yield ",".join(f"{val:.17g}" for val in vals)
 
 
+# Upper bounds on the problem size, checked before anything is allocated.  A
+# grid request peaks at about 200 bytes per point (476 MB at n = 129), so
+# n = 257 stays near 3.5 GB; a trajectory stores 7 floats per step.
+MAX_GRID_N = 257
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling cube [-extent, extent]^3 with n points per axis at time t0."""
@@ -112,8 +119,8 @@ class GridSpec:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ValueError("grids need at least 5 points per axis")
+        if not 5 <= self.n <= MAX_GRID_N:
+            raise ValueError(f"grids need 5 to {MAX_GRID_N} points per axis")
         if not self.extent > 0:
             raise ValueError("extent must be positive")
 
@@ -430,8 +437,8 @@ def integrate(
     bindings = bindings or NumericBindings()
     if method not in _STEPPERS:
         raise ValueError(f"unknown integrator {method!r}")
-    if not h > 0 or steps < 1:
-        raise ValueError("need h > 0 and steps >= 1")
+    if not h > 0 or not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"need h > 0 and 1 <= steps <= {MAX_STEPS}")
     stepper, constants = _STEPPERS[method]
     consts = constants(h, bindings)
     e_at, b_at = (_compile_field(vf, bindings) for vf in fields)

@@ -355,6 +355,119 @@ def reference_partial(expr, var):
     return total
 
 
+_REFERENCE_VV_PREFACTOR = ex.E_SYM / (ex.M_SYM**2 * ex.C_SYM)
+
+
+def _reference_atom_class(atom) -> str:
+    if isinstance(atom, ex.Var):
+        if atom.kind in ("q", "v"):
+            return atom.kind
+        if atom.kind == "t":
+            return "f"
+        return "bad"
+    if isinstance(atom, (ex.Field, ex.Scalar)):
+        return "f"
+    return "const"  # Delta / Eps
+
+
+def _reference_grad_q(atom, idx) -> ex.Expr:
+    """d(atom)/dq_idx for a (position, t)-function atom."""
+    return ex.partial(ex._atom_expr(atom), ("q", idx))
+
+
+def _reference_bracket_atoms(a, b) -> ex.Expr:
+    ca, cb = _reference_atom_class(a), _reference_atom_class(b)
+    if "bad" in (ca, cb):
+        bad = a if ca == "bad" else b
+        raise ex.UnsupportedOperandError(
+            f"no bracket rule for operand {bad!r}"
+        )
+    if "const" in (ca, cb):
+        return ex.ZERO
+    if ca == "q" and cb == "q":
+        return ex.ZERO
+    if ca == "q" and cb == "v":
+        return ex.delta(a.index, b.index) / ex.M_SYM
+    if ca == "v" and cb == "q":
+        return -ex.delta(a.index, b.index) / ex.M_SYM
+    if ca == "v" and cb == "v":
+        k = ex._fresh_name()
+        return _REFERENCE_VV_PREFACTOR * ex.eps(a.index, b.index, k) * ex.field_component("B", k)
+    if ca == "q" and cb == "f":
+        return ex.ZERO
+    if ca == "f" and cb == "q":
+        return ex.ZERO
+    if ca == "v" and cb == "f":
+        return -_reference_grad_q(b, a.index) / ex.M_SYM
+    if ca == "f" and cb == "v":
+        return _reference_grad_q(a, b.index) / ex.M_SYM
+    return ex.ZERO  # two (position, t)-functions commute
+
+
+# Keyed by alpha-normal atom pairs, so one-off fresh dummy names neither
+# miss the cache nor grow it.
+_reference_mono_cache: dict = {}
+
+
+def _reference_alpha_normal(atoms_a: tuple, atoms_b: tuple) -> tuple[tuple, tuple]:
+    """Rename the pair's summed indices to ~s0, ~s1, ... in order of first appearance.
+
+    The bracket keeps every summed index of the pair summed in each term of
+    its canonical result, so the result does not depend on their names.
+    """
+    counts = ex._name_counts(atoms_a + atoms_b)
+    if 2 not in counts.values():
+        return atoms_a, atoms_b
+    summed = dict.fromkeys(
+        idx
+        for atom in atoms_a + atoms_b
+        for idx in ex._atom_indices(atom)
+        if counts.get(idx) == 2
+    )
+    names = (f"~s{n}" for n in itertools.count() if counts.get(f"~s{n}") != 1)
+    mapping = dict(zip(summed, names))
+    return tuple(
+        tuple(ex._rename_atom(a, mapping) for a in atoms) for atoms in (atoms_a, atoms_b)
+    )
+
+
+def _reference_bracket_mono(atoms_a: tuple, atoms_b: tuple) -> ex.Expr:
+    """Bracket of two atom products, reduced by the Leibniz rule."""
+    if not atoms_a or not atoms_b:
+        return ex.ZERO
+    atoms_a, atoms_b = key = _reference_alpha_normal(atoms_a, atoms_b)
+    cached = _reference_mono_cache.get(key)
+    if cached is not None:
+        return cached
+    if len(atoms_b) > 1:
+        b0, rest = atoms_b[0], atoms_b[1:]
+        result = (
+            ex._atom_expr(b0) * _reference_bracket_mono(atoms_a, rest)
+            + _reference_bracket_mono(atoms_a, (b0,)) * ex._atom_expr(*rest)
+        )
+    elif len(atoms_a) > 1:
+        a0, rest = atoms_a[0], atoms_a[1:]
+        result = (
+            ex._atom_expr(a0) * _reference_bracket_mono(rest, atoms_b)
+            + _reference_bracket_mono((a0,), atoms_b) * ex._atom_expr(*rest)
+        )
+    else:
+        result = _reference_bracket_atoms(atoms_a[0], atoms_b[0])
+    _reference_mono_cache[key] = result
+    return result
+
+
+def reference_bracket(a: ex.Expr, b: ex.Expr) -> ex.Expr:
+    """``bracket.bracket`` as it was: the Leibniz rule applied one atom at a
+    time, every sub-product memoized under an alpha-normal key."""
+    pieces = []
+    for coeff, cpow, atoms_a, atoms_b in ex._term_pairs(a, b):
+        piece = _reference_bracket_mono(atoms_a, atoms_b)
+        if not piece.is_zero:
+            pieces.append(ex.Expr(((coeff, cpow, ()),), _canonical=True) * piece)
+    return ex._sum(pieces)
+
+
 def reference_norms(values) -> tuple[float, float]:
     """The generator-and-fsum body that ``numeric._norms`` replaced."""
     flat = np.ravel(np.asarray(values, dtype=float))

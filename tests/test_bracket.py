@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embracket import expr as ex
 from embracket.bracket import (
@@ -32,7 +34,7 @@ from embracket.expr import (
     substitute_fields,
 )
 
-from conftest import random_polynomial
+from conftest import random_polynomial, reference_bracket
 
 B = lambda i: field_component("B", i)
 E = lambda i: field_component("E", i)
@@ -96,6 +98,130 @@ class TestBaseRules:
             f = phase_polynomial(rng)
             i = rng.randint(1, 3)
             assert bracket(ex.v(i), f) == -partial(f, ("q", i)) / M_SYM
+
+
+@st.composite
+def bracket_terms(draw, frees: list):
+    """One raw term: the given free names once, up to two summed names twice
+    and concrete indices, cut into q/v variables, opaque fields with
+    derivative slots, deltas and epsilons; then a few q, v, t and scalar
+    atoms and, rarely, an x or acceleration atom the bracket has no rule for."""
+    dummies = ["d0", "d1"][: draw(st.integers(0, 2))]
+    concrete = draw(st.lists(st.integers(1, 3), max_size=2))
+    slots = list(draw(st.permutations(frees + dummies * 2 + concrete)))
+    ints = st.integers(1, 3)
+    atoms = []
+    while slots:
+        kind = draw(st.sampled_from(["var", "var", "field", "grad", "delta", "eps"]))
+        width = {"grad": 2, "delta": 2, "eps": 3}.get(kind, 1)
+        if width > len(slots):
+            kind, width = "var", 1
+        cut, slots = slots[:width], slots[width:]
+        if kind == "var":
+            atoms.append(ex.Var(draw(st.sampled_from("qv")), cut[0]))
+        elif kind == "field":
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), cut[0]))
+        elif kind == "grad":
+            derivs = draw(st.sampled_from([(("q", cut[1]),), (("q", cut[1]), ("t", None))]))
+            atoms.append(ex.Field(draw(st.sampled_from("EBA")), cut[0], derivs))
+        elif kind == "delta":
+            atoms.append(ex.Delta(*cut))
+        else:
+            atoms.append(ex.Eps(*cut))
+    for kind in draw(st.lists(st.sampled_from(["q", "v", "v", "t", "scalar"]), max_size=2)):
+        if kind == "t":
+            atoms.append(ex.Var("t", None))
+        elif kind == "scalar":
+            derivs = draw(st.sampled_from([(), (("q", draw(ints)),), (("t", None),)]))
+            atoms.append(ex.Scalar(draw(st.sampled_from(["A0", "U", "f"])), derivs))
+        else:
+            atoms.append(ex.Var(kind, draw(ints)))
+    if draw(st.integers(0, 19)) == 10:
+        atoms.append(ex.Var(draw(st.sampled_from("xa")), draw(ints)))
+    coeff = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+    cpow = draw(st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, -1)]))
+    return coeff, cpow, tuple(draw(st.permutations(atoms)))
+
+
+@st.composite
+def bracket_operands(draw):
+    """Two expressions whose free indices i and j, when drawn, are shared
+    and contract across the bracket; p and r stay free in one each."""
+    shared = draw(st.lists(st.sampled_from(["i", "j"]), unique=True))
+    operands = []
+    for own in ("p", "r"):
+        frees = shared + ([own] if draw(st.booleans()) else [])
+        terms = draw(st.lists(bracket_terms(frees), min_size=1, max_size=2))
+        operands.append(ex.Expr(tuple(terms)))
+    return tuple(operands)
+
+
+def _bracket_or_raise(fn, a, b):
+    try:
+        return fn(a, b)
+    except UnsupportedOperandError:
+        return UnsupportedOperandError
+
+
+def biderivation(f, g):
+    """The bracket in closed form, from partial derivatives and products:
+    (1/m)(df/dq_i dg/dv_i - df/dv_i dg/dq_i) + (e/m^2 c) eps_ijk B_k df/dv_i dg/dv_j,
+    with fresh summed names for i, j and k."""
+    i, j, k = (ex._fresh_name() for _ in range(3))
+    df_dq, df_dv = partial(f, ("q", i)), partial(f, ("v", i))
+    dg_dq, dg_dv = partial(g, ("q", i)), partial(g, ("v", i))
+    canonical = df_dq * dg_dv - df_dv * dg_dq
+    magnetic = eps(i, j, k) * B(k) * df_dv * partial(g, ("v", j))
+    return canonical / M_SYM + (E_SYM / (M_SYM**2 * C_SYM)) * magnetic
+
+
+def same_components(x, y) -> bool:
+    """x and y agree in every component once their summed indices are
+    expanded; canonical forms with a free index beside concrete epsilon
+    slots can differ for equal tensors."""
+    diff = x - y
+    frees = sorted(diff.free_indices())
+    return all(
+        ex.expand_dummies(instantiate_indices(diff, dict(zip(frees, combo)))).is_zero
+        for combo in itertools.product((1, 2, 3), repeat=len(frees))
+    )
+
+
+def _free_beside_concrete(expr) -> bool:
+    """A delta or epsilon holding both a concrete and a free slot: there
+    eps(1,2,p) and delta(3,p) are equal tensors with two canonical forms."""
+    return any(
+        isinstance(a, (ex.Delta, ex.Eps))
+        and {type(i) for i in ex._atom_indices(a)} == {int, str}
+        for a in expr.atoms()
+    )
+
+
+class TestFlatBracket:
+    """The flat Leibniz sum against the recursive, memoized bracket it
+    replaced and against the closed-form biderivation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bracket_operands())
+    def test_matches_reference(self, operands):
+        a, b = operands
+        got = _bracket_or_raise(bracket, a, b)
+        want = _bracket_or_raise(reference_bracket, a, b)
+        if UnsupportedOperandError in (got, want):
+            assert got is want
+            return
+        assert same_components(got, want)
+        assert same_components(got, biderivation(a, b))
+        if not (_free_beside_concrete(got) or _free_beside_concrete(want)):
+            assert got == want
+
+    def test_shared_free_and_private_summed_indices(self):
+        # shared free names contract, summed names stay private per argument
+        a = ex.v("i") * ex.v("d0") * E("d0")
+        b = ex.q("d0") * partial(B("i"), ("q", "d0"))
+        assert bracket(a, b) == reference_bracket(a, b)
+        assert same_components(bracket(a, b), biderivation(a, b))
+        assert not bracket(a, b).is_zero
 
 
 class TestAxioms:
@@ -355,16 +481,6 @@ class TestRunChain:
         ]
         assert all(c.verdict is None for c in report.constraints)
         assert reverify(report)
-
-    def test_bracket_cache_stays_flat(self):
-        # fresh dummy names of each call must not add cache entries
-        from embracket.bracket import _mono_cache as cache
-
-        run_chain()
-        size = len(cache)
-        for _ in range(19):
-            run_chain()
-        assert len(cache) == size
 
     def test_uniform_field_passes(self):
         report = run_chain(ex.VectorField.zero(), parse_vector_field("0;0;1"))

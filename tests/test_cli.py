@@ -355,6 +355,32 @@ class TestErrorContract:
         assert stderr.startswith(f"{argv[0]}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--field-B", "x2;x3;x1", "--n", "100000"),
+            (
+                "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",
+                "--dt", "0.1", "--steps", "1000000000000",
+            ),
+        ],
+    )
+    def test_huge_size_exits_two_at_once(self, capsys, tmp_path, argv):
+        out = tmp_path / "o"
+        start = time.process_time()
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert time.process_time() - start < 1.0
+        assert (code, stdout) == (2, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"{argv[0]}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["derive", "check", "reconstruct", "duality"])
+    def test_symbolic_commands_take_no_constants(self, capsys, command):
+        required = ("--force", "v1;0;0") if command in ("check", "reconstruct") else ()
+        code, stdout, _ = run(capsys, command, *required, "--e", "2")
+        assert (code, stdout) == (2, "")
+
     def test_expression_error_exits_two(self, capsys, monkeypatch):
         def reject(force):
             raise ex.ExprError("rejected by the expression layer")
@@ -536,7 +562,8 @@ def _joined(part, sep: str):
 _FIELD = _joined(_dsl(["x1", "x2", "x3", "t", "0"]), ";")
 _FORCE = _joined(_dsl(["q1", "q2", "q3", "v1", "v2", "v3", "t", "0"]), ";")
 _STATE = _joined(_NUMBER, ",")
-_COMMON = {"--e": _NUMBER, "--m": _NUMBER, "--c": _NUMBER, "--json": None, "--out": None}
+_COMMON = {"--json": None, "--out": None}
+_CONSTANTS = {"--e": _NUMBER, "--m": _NUMBER, "--c": _NUMBER}  # simulate and grid only
 _FLAGS = {
     "derive": {"--field-E": _FIELD, "--field-B": _FIELD},
     "check": {"--force": _FORCE, "--potential-U": _dsl(["x1", "x2", "x3", "t"])},
@@ -548,6 +575,7 @@ _FLAGS = {
         "--x0": _STATE,
         "--v0": _STATE,
         "--method": st.sampled_from(["boris", "rk4", "euler"]),
+        **_CONSTANTS,
     },
     "grid": {
         "--n": st.sampled_from(["5", "7", "9", "-1", "0", "4", "x"]),
@@ -555,6 +583,7 @@ _FLAGS = {
         "--field-B": _FIELD,
         "--extent": _NUMBER,
         "--t0": _NUMBER,
+        **_CONSTANTS,
     },
     "duality": {"--field-E": _FIELD, "--field-B": _FIELD},
 }
