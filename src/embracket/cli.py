@@ -28,7 +28,7 @@ from . import expr as ex
 from . import helmholtz as hh
 from . import numeric as nm
 from .bracket import div_b_expression, faraday_expression, run_chain
-from .dsl import ParseError, parse, parse_vector_field
+from .dsl import ParseError, parse, parse_components, parse_vector_field
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -107,10 +107,7 @@ def cmd_derive(args) -> int:
 
 
 def _force_from_args(args) -> hh.ForceLaw:
-    comps = args.force.split(";")
-    if len(comps) != 3:
-        raise ParseError(0, "a force needs three ';'-separated components", args.force)
-    force = tuple(parse(c, "phase-space") for c in comps)
+    force = parse_components(args.force, "phase-space")
     potential = None
     if args.potential_U:
         potential = ex.phase_space(parse(args.potential_U, "field-space"))

@@ -137,16 +137,10 @@ class ResidualEntry:
     name: str
     max: float
     rms: float
-    h: Optional[float] = None
-    order: Optional[float] = None
+    h: float
 
     def to_json_dict(self) -> dict:
-        out = {"name": self.name, "max": self.max, "rms": self.rms}
-        if self.h is not None:
-            out["h"] = self.h
-        if self.order is not None:
-            out["order"] = self.order
-        return out
+        return {"name": self.name, "max": self.max, "rms": self.rms, "h": self.h}
 
 
 @dataclass
@@ -480,6 +474,8 @@ def measured_rotation_frequency(traj: Trajectory, axis: Sequence[float] = (0, 0,
 # trajectory residuals
 
 
+# non-finite values are reported as such, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def el_residual(
     traj: Trajectory,
     lagrangian,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -20,6 +21,8 @@ import pytest
 
 from embracket import expr as ex
 from embracket import numeric as nm
+from embracket.dsl import CONTEXTS, ParseError
+from embracket.expr import Expr
 
 EPS_TABLE = {}
 for perm, sign in (
@@ -568,6 +571,306 @@ def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
     )
     first_nonfinite = None if finite.all() else int(np.argmin(finite))
     return nm.Trajectory(times, positions, velocities, h, method, first_nonfinite)
+
+
+# ---------------------------------------------------------------------------
+# reference DSL parser: the earlier parser, which read names and indices on
+# five separate paths, kept verbatim as the differential oracle for
+# dsl.parse.  Its tokenizer takes Unicode digits and letters, and a
+# multi-letter name such as qv followed by '[' reaches make_var's dict
+# lookup (a KeyError).
+
+
+_REF_OPS = set("+-*/^()[],;")
+
+_REF_MAX_EXPONENT = 64
+_REF_MAX_TERMS = 5_000  # bound on len(left.terms) * len(right.terms) per product
+
+
+@dataclass
+class _RefToken:
+    kind: str  # 'int' | 'name' | 'op' | 'end'
+    value: str
+    pos: int
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_RefToken("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_RefToken("name", text[i:j], i))
+            i = j
+            continue
+        if ch in _REF_OPS:
+            tokens.append(_RefToken("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(i, "unexpected character", ch)
+    end = max(0, n - 1) if n else 0
+    tokens.append(_RefToken("end", "", end))
+    return tokens
+
+
+def _ref_check_product(left: Expr, right: Expr, op: _RefToken) -> None:
+    if len(left.terms) * len(right.terms) > _REF_MAX_TERMS:
+        raise ParseError(op.pos, f"product of more than {_REF_MAX_TERMS} term pairs", op.value)
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_RefToken], context: str):
+        self.tokens = tokens
+        self.pos = 0
+        self.context = context
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> _RefToken:
+        tok = self.next()
+        if tok.kind != "op" or tok.value != op:
+            raise ParseError(tok.pos, f"expected {op!r}", tok.value or None)
+        return tok
+
+    # expr := ['+'|'-'] term (('+'|'-') term)*
+    def parse_expr(self) -> Expr:
+        tok = self.peek()
+        negate = False
+        if tok.kind == "op" and tok.value in "+-":
+            self.next()
+            negate = tok.value == "-"
+        first = self.parse_term()
+        terms = [-first if negate else first]
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value in "+-":
+                self.next()
+                rhs = self.parse_term()
+                terms.append(rhs if tok.value == "+" else -rhs)
+            else:
+                return ex._sum(terms)
+
+    def parse_term(self) -> Expr:
+        result = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value in "*/":
+                self.next()
+                rhs = self.parse_factor()
+                _ref_check_product(result, rhs, tok)
+                if tok.value == "*":
+                    result = result * rhs
+                else:
+                    try:
+                        result = result / rhs
+                    except ex.NonPolynomialError:
+                        raise ParseError(
+                            tok.pos, "division only by rational/e/m/c constants"
+                        ) from None
+            else:
+                return result
+
+    def parse_factor(self) -> Expr:
+        base_tok = self.peek()
+        base = self.parse_base()
+        tok = self.peek()
+        if tok.kind == "op" and tok.value == "^":
+            self.next()
+            sign = 1
+            stok = self.peek()
+            if stok.kind == "op" and stok.value == "-":
+                self.next()
+                sign = -1
+            etok = self.next()
+            if etok.kind != "int":
+                raise ParseError(etok.pos, "exponent must be an integer", etok.value or None)
+            digits = etok.value.lstrip("0") or "0"
+            if len(digits) > len(str(_REF_MAX_EXPONENT)) or int(digits) > _REF_MAX_EXPONENT:
+                raise ParseError(
+                    etok.pos, f"exponent larger than {_REF_MAX_EXPONENT}", etok.value
+                )
+            count = int(digits)
+            try:
+                factor = base ** -1 if sign < 0 and count else base
+            except ex.NonPolynomialError:
+                raise ParseError(
+                    base_tok.pos, "negative powers only on rational/e/m/c constants"
+                ) from None
+            result = ex.ONE  # the product loop of Expr.__pow__, checked per factor
+            for _ in range(count):
+                _ref_check_product(result, factor, tok)
+                result = result * factor
+            return result
+        return base
+
+    def parse_base(self) -> Expr:
+        tok = self.next()
+        if tok.kind == "int":
+            return ex.rational(int(tok.value))
+        if tok.kind == "op" and tok.value == "(":
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        if tok.kind == "name":
+            return self.resolve_name(tok)
+        raise ParseError(tok.pos, "expected a value", tok.value or None)
+
+    def resolve_name(self, tok: _RefToken) -> Expr:
+        name = tok.value
+        if name == "e":
+            return ex.E_SYM
+        if name == "m":
+            return ex.M_SYM
+        if name == "c":
+            return ex.C_SYM
+        if name == "t":
+            return ex.t()
+        extended = self.context == "extended"
+        if extended:
+            special = self.resolve_extended(tok)
+            if special is not None:
+                return special
+        if len(name) >= 2 and name[0] in "qvxa" and name[1:].isdigit():
+            return self.make_var(tok, name[0], int(name[1:]))
+        if name in "qvxa" and self.peek().kind == "op" and self.peek().value == "[":
+            kind = name
+            self.expect_op("[")
+            idx = self.parse_index()
+            self.expect_op("]")
+            return self.make_var(tok, kind, idx)
+        raise ParseError(tok.pos, "unknown symbol", name)
+
+    def make_var(self, tok: _RefToken, kind: str, idx) -> Expr:
+        if isinstance(idx, int) and not 1 <= idx <= 3:
+            raise ParseError(tok.pos, "index out of range 1..3", tok.value)
+        if isinstance(idx, str) and self.context != "extended":
+            raise ParseError(tok.pos, "symbolic indices need the extended context", tok.value)
+        allowed = {
+            "phase-space": "qv",
+            "field-space": "x",
+            "extended": "qvxa",
+        }[self.context]
+        if kind not in allowed:
+            raise ParseError(
+                tok.pos,
+                f"variable kind {kind!r} not allowed in {self.context} context",
+                tok.value,
+            )
+        maker = {"q": ex.q, "v": ex.v, "x": ex.x, "a": ex.accel}[kind]
+        try:
+            return maker(idx)
+        except ex.IndexConventionError as err:
+            raise ParseError(tok.pos, str(err), tok.value) from None
+
+    def parse_index(self):
+        tok = self.next()
+        if tok.kind == "int":
+            val = int(tok.value)
+            if not 1 <= val <= 3:
+                raise ParseError(tok.pos, "index out of range 1..3", tok.value)
+            return val
+        if tok.kind == "name":
+            return tok.value
+        raise ParseError(tok.pos, "expected an index", tok.value or None)
+
+    def resolve_extended(self, tok: _RefToken) -> Expr | None:
+        name = tok.value
+        if name in ex.VECTOR_FAMILIES:
+            self.expect_op("[")
+            idx = self.parse_index()
+            self.expect_op("]")
+            return ex.field_component(name, idx)
+        if name in ex.SCALAR_FAMILIES:
+            return ex.scalar_field(name)
+        if name == "delta":
+            self.expect_op("(")
+            i = self.parse_index()
+            self.expect_op(",")
+            j = self.parse_index()
+            self.expect_op(")")
+            return ex.delta(i, j)
+        if name == "eps":
+            self.expect_op("(")
+            i = self.parse_index()
+            self.expect_op(",")
+            j = self.parse_index()
+            self.expect_op(",")
+            k = self.parse_index()
+            self.expect_op(")")
+            return ex.eps(i, j, k)
+        if name == "d":
+            nxt = self.peek()
+            if not (nxt.kind == "op" and nxt.value == "("):
+                raise ParseError(tok.pos, "unknown symbol", name)
+            self.next()
+            inner = self.parse_expr()
+            dvars = []
+            while self.peek().kind == "op" and self.peek().value == ",":
+                self.next()
+                dvars.append(self.parse_deriv_var())
+            self.expect_op(")")
+            if not dvars:
+                raise ParseError(tok.pos, "derivative needs at least one variable")
+            for dv in dvars:
+                inner = ex.partial(inner, dv)
+            return inner
+        return None
+
+    def parse_deriv_var(self):
+        tok = self.next()
+        if tok.kind != "name":
+            raise ParseError(tok.pos, "expected a derivative variable", tok.value or None)
+        name = tok.value
+        if name == "t":
+            return ("t", None)
+        if len(name) >= 2 and name[0] in "qx" and name[1:].isdigit():
+            idx = int(name[1:])
+            if not 1 <= idx <= 3:
+                raise ParseError(tok.pos, "index out of range 1..3", name)
+            return (name[0], idx)
+        if name in "qx" and self.peek().kind == "op" and self.peek().value == "[":
+            self.expect_op("[")
+            idx = self.parse_index()
+            self.expect_op("]")
+            return (name, idx)
+        raise ParseError(tok.pos, "derivatives only with respect to q, x, or t", name)
+
+
+def reference_parse(text: str, context: str = "phase-space") -> Expr:
+    """Parse a DSL string into a canonical expression.
+
+    Raises :class:`ParseError` carrying the byte offset of the problem.
+    """
+    if context not in CONTEXTS:
+        raise ValueError(f"unknown context {context!r}")
+    if not text.strip():
+        raise ParseError(0, "empty expression")
+    parser = _RefParser(_ref_tokenize(text), context)
+    result = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(trailing.pos, "trailing input", trailing.value or None)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,7 @@ class TestNonFiniteQuiet:
             ("grid", "--field-B", "x2^2;x3;x1", "--extent", "1e200"),
             ("simulate", "--v0", "1e200,0,0", "--dt", "1e200", "--steps", "5"),
             ("simulate", "--dt", "1e308", "--steps", "5"),
+            ("simulate", "--v0", "1,1,1e300", "--m", "1e300", "--dt", "1", "--steps", "5"),
         ],
     )
     def test_no_numpy_warnings(self, capsys, tmp_path, argv):
@@ -380,6 +381,23 @@ class TestErrorContract:
         required = ("--force", "v1;0;0") if command in ("check", "reconstruct") else ()
         code, stdout, _ = run(capsys, command, *required, "--e", "2")
         assert (code, stdout) == (2, "")
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize("force", ["qv[1];0;0", "q\u00b2;0;0", "q\u0663;0;0"])
+    def test_malformed_names_exit_two(self, capsys, command, force):
+        code, stdout, stderr = run(capsys, command, "--force", force)
+        assert (code, stdout) == (2, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "--force", "q1;q2;q4"), ("grid", "--field-B", "x1;x2;x4")],
+    )
+    def test_component_offsets_count_from_the_flag_value(self, capsys, argv):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.endswith("(offset 6)\n")
 
     def test_expression_error_exits_two(self, capsys, monkeypatch):
         def reject(force):
@@ -539,7 +557,9 @@ def _dsl(variables: list[str]):
     """Small expressions over the given variables, now and then with a token
     the DSL rejects."""
     leaves = st.sampled_from(
-        variables * 3 + ["e", "m", "c", "0", "2", "1/2"] + ["99999", "q4", "?", ""]
+        variables * 3
+        + ["e", "m", "c", "0", "2", "1/2", "q[1]", "q01"]
+        + ["99999", "q4", "?", "", "qv[1]", "xa[1]", "q\u00b2", "q\u0663"]
     )
     return st.recursive(
         leaves,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embracket import expr as ex
-from embracket.dsl import ParseError, parse, parse_vector_field
+from embracket.dsl import CONTEXTS, ParseError, parse, parse_vector_field
 from embracket.expr import (
     VectorField,
     ZERO,
@@ -36,6 +37,7 @@ from conftest import (
     reference_add,
     reference_canonical_term,
     reference_canonicalize_terms,
+    reference_parse,
     reference_partial,
 )
 
@@ -128,6 +130,179 @@ class TestParse:
             parse_vector_field("0;0")
         with pytest.raises(ParseError):
             parse_vector_field("0;q1;0")
+        for text, position in (("x1;x2;x4", 6), ("x1;;x2", 3)):  # within the whole text
+            with pytest.raises(ParseError) as err:
+                parse_vector_field(text)
+            assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("q\u0663", 1), ("q\u00b2", 1), ("v1^\u00b2", 3), ("\u0663", 0), ("q1+\u00e9", 3)],
+    )
+    def test_ascii_tokens_only(self, text, position):
+        # str.isdigit takes the Arabic-Indic three and the superscript two
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.position, err.value.message) == (position, "unexpected character")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1" + "0" * 5000, 0), ("q1+" + "9" * 5000, 3), ("q" + "0" * 5000 + "1", 0)],
+        ids=["literal", "addend", "index"],
+    )
+    def test_integer_past_conversion_limit(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.position, err.value.message) == (position, "integer too long")
+
+    def test_indexed_forms(self):
+        assert parse("q01") == parse("q[1]") == parse("q[001]") == ex.q(1)
+        assert parse("x[2]", "field-space") == ex.x(2)
+        assert parse("a[i]*d(B[1],q[i],x2,t)", "extended") == parse(
+            "a[j]*d(B[1],q[j],x[2],t)", "extended"
+        )
+        with pytest.raises(ParseError) as err:
+            parse("q[i]")
+        assert err.value.position == 0 and "extended" in err.value.message
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("qv[1]", 0),
+            ("v1+xa[1]", 3),
+            ("qvxa[2]", 0),
+            ("d(B[1],qx[1])", 7),
+            ("d(B[1],v1)", 7),
+            ("E[4]", 2),
+            ("delta(i,j", 8),
+        ],
+    )
+    def test_names_and_indices_rejected(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, "extended")
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [("eps(i,i,i)", 9), ("q1+eps(j,j,j)*t", 12)])
+    def test_expression_layer_rejections_are_parse_errors(self, text, position):
+        # the last token read: the one that completed the rejected atom
+        with pytest.raises(ParseError) as err:
+            parse(text, "extended")
+        assert err.value.position == position and "3 times" in err.value.message
+
+    def test_deep_nesting(self):
+        assert parse("(" * 40 + "q1" + ")" * 40) == ex.q(1)
+        with pytest.raises(ParseError) as err:
+            parse("(" * 5000 + "q1" + ")" * 5000)
+        assert "nested" in err.value.message
+
+
+# A grammar for differential tests of the parser: every form of every
+# context, leaves the parser rejects, then one corruption of the text.
+_INDICES = st.sampled_from(["1", "2", "3", "01", "i", "j", "k", "0", "4", "\u0663", "+", ""])
+_NAME_DIGITS = st.sampled_from(["1", "2", "3", "01", "0", "4", "12", "\u0663", "\u00b2", ""])
+_KIND_LETTERS = ["q", "v", "x", "a", "qv", "vx", "xa", "qvxa", "qx", "qq"]
+
+
+def _indexed(names):
+    return st.one_of(
+        st.tuples(st.sampled_from(names), _NAME_DIGITS).map("".join),
+        st.tuples(st.sampled_from(names), _INDICES).map(lambda p: f"{p[0]}[{p[1]}]"),
+    )
+
+
+def _index_list(name, count):
+    return st.lists(_INDICES, min_size=count - 1, max_size=count + 1).map(
+        lambda idx: f"{name}({','.join(idx)})"
+    )
+
+
+_VALID_LEAVES = st.sampled_from(
+    ["q1", "v2", "x3", "a1", "q[i]", "v[j]", "x[2]", "a[k]", "B[i]", "E[1]", "delta(i,j)"]
+)
+_PARSE_LEAVES = st.one_of(
+    _VALID_LEAVES,
+    _VALID_LEAVES,
+    st.sampled_from(["0", "2", "12", "007", "e", "m", "c", "t", "A0", "U", "f", "d", "foo", "_"]),
+    st.sampled_from(["1" + "0" * 4400, "\u0663", "\u00e9", "?", "eps(k,k,k)"]),
+    _indexed(_KIND_LETTERS),
+    _indexed(["E", "B", "A"]),
+    _index_list("delta", 2),
+    _index_list("eps", 3),
+)
+_DERIV_VARS = st.one_of(
+    st.sampled_from(["t", "", "1", "v1"]), _indexed(["q", "x", "qx", "v", "xa"])
+)
+
+
+def _parse_texts():
+    tree = st.recursive(
+        _PARSE_LEAVES,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " * "]), inner).map("".join),
+            st.tuples(inner, st.sampled_from(["^2", "^3", "^0", "^-1", "^65", "^x"])).map(
+                "".join
+            ),
+            inner.map(lambda s: f"({s})"),
+            inner.map(lambda s: f"-{s}"),
+            st.tuples(inner, st.lists(_DERIV_VARS, max_size=2)).map(
+                lambda p: "d(" + ",".join([p[0], *p[1]]) + ")"
+            ),
+        ),
+        max_leaves=6,
+    )
+    corruption = st.tuples(
+        st.integers(0, 5), st.integers(0, 10**6), st.sampled_from("([)],;^* \u00a0")
+    )
+    return st.tuples(tree, corruption).map(_corrupt)
+
+
+def _corrupt(parts):
+    """Insert a character, delete one or cut the text short, half of the time."""
+    text, (how, where, char) = parts
+    at = where % (len(text) + 1)
+    if how == 1:
+        return text[:at] + char + text[at:]
+    if how == 2:
+        return text[:at] + text[at + 1:]
+    if how == 3:
+        return text[:at]
+    return text
+
+
+# A multi-letter name of kind letters followed by '[': the reference parser
+# read the bracket before rejecting the name (or failing on it with a
+# KeyError or an ExprError), dsl.parse rejects the name first.
+_READ_PAST_NAME = re.compile(r"(?<![A-Za-z0-9_])(qv|vx|xa|qvx|vxa|qvxa|qx)\s*\[")
+
+
+class TestParseDifferential:
+    """dsl.parse against conftest.reference_parse on the same text."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_parse_texts(), st.sampled_from(CONTEXTS))
+    def test_matches_reference(self, text, context):
+        try:
+            expected = reference_parse(text, context)
+        except Exception as err:  # noqa: BLE001 - every failure mode is compared
+            expected = err
+        try:
+            actual = parse(text, context)
+        except ParseError as err:
+            actual = err
+        if any(not ch.isascii() and ch.isalnum() for ch in text):
+            # the reference took non-ASCII digits and letters into tokens
+            assert isinstance(actual, ParseError), text
+        elif _READ_PAST_NAME.search(text):
+            assert isinstance(actual, ParseError), text
+            if isinstance(expected, ParseError):
+                assert actual.position <= expected.position, text
+        elif isinstance(expected, ParseError):
+            assert isinstance(actual, ParseError), text
+            assert actual.position == expected.position, text
+        elif isinstance(expected, Exception):
+            assert isinstance(actual, ParseError), (text, expected)
+        else:
+            assert actual == expected, text
 
 
 class TestCanonicalization:
