@@ -15,16 +15,26 @@ not, and the two differ in the last bit often enough to change trajectories.
 Kept, every trajectory is bit-identical to the numpy stepping.
 
 Reductions are max and an exact sum of squares, so results do not depend on
-evaluation order.  A finite square is s * 2^(k - 1075), with s its 53-bit
-significand (implicit bit included) and k = max(exponent field, 1), which
-also places subnormals.  Splitting s into a high 26-bit and a low 27-bit
-half and summing each half per exponent bin over blocks of 2^16 squares
-keeps every partial sum an integer below 2^53, exact in float64 and in any
-order; the blocks add up in int64.  The bins fold into one integer
+evaluation order or on how the values are split into pieces.  A finite
+square is s * 2^(k - 1075), with s its 53-bit significand and
+k = max(exponent field, 1), which also places subnormals.  The squares are
+binned by their raw exponent field in blocks of 2^16, written into scratch
+buffers of at most that size: per bin, a count and the sums of the high 25
+and low 27 of the 52 stored significand bits.  Each partial sum is an
+integer below 2^53, exact in float64 and in any order, and the blocks add
+up in int64.  The implicit bit of a normal square comes from the count: a
+bin k > 0 holds count * 2^52 more.  A block whose largest square is 0 adds
+nothing and is skipped before it is binned.  The bins fold into one integer
 T = sum of s * 2^k, and T / 2^1075 is a correctly rounded integer division:
 the value ``math.fsum`` returns, divided by the count as before.  Where that
 sum overflows a float, T / (count * 2^1075) still gives the finite mean.  An
 inf or nan square makes the mean inf or nan, as it does in ``math.fsum``.
+
+Grid residuals stream through this sum: ``maxwell_grid_residuals`` works
+through the cube in slabs of whole x1-planes, about 2^16 points each plus
+one halo plane on either side, samples every component on the slab's open
+mesh of axis slices, and adds each residual row of the slab to its sum.
+Its memory is bounded by the slab, not by the n^3 points of the cube.
 """
 
 from __future__ import annotations
@@ -104,8 +114,9 @@ class Trajectory:
 
 
 # Upper bounds on the problem size, checked before anything is allocated.  A
-# grid request peaks at about 200 bytes per point (476 MB at n = 129), so
-# n = 257 stays near 3.5 GB; a trajectory stores 7 floats per step.
+# grid is streamed in slabs of about 2^16 points, so its memory does not grow
+# with n^3 (about 5 MiB traced at n = 129 and at n = 257); its time does.  A
+# trajectory stores 7 floats per step.
 MAX_GRID_N = 257
 MAX_STEPS = 1_000_000
 
@@ -123,6 +134,8 @@ class GridSpec:
             raise ValueError(f"grids need 5 to {MAX_GRID_N} points per axis")
         if not self.extent > 0:
             raise ValueError("extent must be positive")
+        if not (math.isfinite(self.extent) and math.isfinite(self.t0)):
+            raise ValueError("extent and t0 must be finite")
 
     @property
     def h(self) -> float:
@@ -157,37 +170,72 @@ class ResidualReport:
         return {"entries": [e.to_json_dict() for e in self.entries]}
 
 
-_BLOCK = 1 << 16  # squares per bincount; bounds the temporaries, keeps sums < 2^53
+_BLOCK = 1 << 16  # squares per bincount; bounds the scratch buffers, keeps bin sums < 2^53
+_MANTISSA = np.uint64(2**52 - 1)
+_LOW = np.uint64(2**27 - 1)
+
+
+class _SumOfSquares:
+    """Max modulus and exact sum of squares of every value added, whatever
+    the order and the split of the values into pieces."""
+
+    def __init__(self):
+        self.size = 0
+        self.peak = 0.0
+        # per exponent field: count, high and low significand halves
+        self.bins = np.zeros((3, 2047), dtype=np.int64)
+
+    def add(self, values) -> None:
+        flat = np.ravel(np.asarray(values, dtype=float))
+        self.size += flat.size
+        width = min(flat.size, _BLOCK)
+        # squares (then their bits), exponent fields, high and low halves
+        scratch = [np.empty(width, t) for t in (float, np.uint64, float, float)]
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start : start + _BLOCK]
+            self._block(block, *(buf[: block.size] for buf in scratch))
+
+    def _block(self, block, square, field, high, low) -> None:
+        peak = float(np.abs(block, out=square).max())
+        if peak > self.peak or peak != peak:  # a nan stays
+            self.peak = peak
+        if peak * peak == 0 or not math.isfinite(self.peak * self.peak):
+            return  # nothing to add, or the sum is inf or nan whatever else comes
+        np.multiply(square, square, out=square)
+        bits = square.view(np.uint64)
+        np.right_shift(bits, np.uint64(52), out=field)
+        np.bitwise_and(bits, _MANTISSA, out=bits)
+        np.right_shift(bits, np.uint64(27), out=high)
+        np.bitwise_and(bits, _LOW, out=low)
+        bins = field.view(np.intp)
+        self.bins[0] += np.bincount(bins, minlength=2047)
+        self.bins[1] += np.bincount(bins, high, 2047).astype(np.int64)
+        self.bins[2] += np.bincount(bins, low, 2047).astype(np.int64)
+
+    def result(self) -> tuple[float, float]:
+        """The max modulus and the root mean square."""
+        if self.size == 0:
+            return 0.0, 0.0
+        peak = self.peak
+        if not math.isfinite(peak * peak):  # an inf square makes the sum inf, a nan nan
+            return peak, math.sqrt(peak * peak)
+        fields = np.flatnonzero(self.bins[0])
+        total = sum(
+            (((count << 52) if k else 0) + (high << 27) + low) << max(k, 1)
+            for k, count, high, low in zip(fields.tolist(), *self.bins[:, fields].tolist())
+        )
+        try:
+            mean = total / (1 << 1075) / self.size
+        except OverflowError:  # the sum overflows, the mean (at most the peak's square) does not
+            mean = total / (self.size << 1075)
+        return peak, math.sqrt(mean)
 
 
 def _norms(values) -> tuple[float, float]:
     """Max modulus and root mean square, the latter from the exact sum of squares."""
-    flat = np.ravel(np.asarray(values, dtype=float))
-    if flat.size == 0:
-        return 0.0, 0.0
-    peak = float(np.max(np.abs(flat)))
-    if not math.isfinite(peak * peak):  # an inf square makes the sum inf, a nan nan
-        return peak, math.sqrt(peak * peak)
-    high = np.zeros(2047, dtype=np.int64)
-    low = np.zeros(2047, dtype=np.int64)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        bits = (block * block).view(np.uint64)
-        field = bits >> np.uint64(52)
-        implicit = (field > 0).astype(np.uint64) << np.uint64(52)
-        significand = (bits & np.uint64(2**52 - 1)) | implicit
-        bins = np.maximum(field, 1).astype(np.intp)
-        high += np.bincount(bins, significand >> np.uint64(27), 2047).astype(np.int64)
-        low += np.bincount(bins, significand & np.uint64(2**27 - 1), 2047).astype(np.int64)
-    total = sum(
-        (int(high[k]) << (k + 27)) + (int(low[k]) << k)
-        for k in np.flatnonzero(high | low).tolist()
-    )
-    try:
-        mean = total / (1 << 1075) / flat.size
-    except OverflowError:  # the sum overflows, the mean (at most the peak's square) does not
-        mean = total / (flat.size << 1075)
-    return peak, math.sqrt(mean)
+    acc = _SumOfSquares()
+    acc.add(values)
+    return acc.result()
 
 
 def _entry(name: str, values, h: float) -> ResidualEntry:
@@ -281,15 +329,27 @@ def _sums(tables: Sequence[tuple], values: Sequence) -> list:
     return out
 
 
-def _samples(exprs, shape, position, velocity, time, bindings) -> list[np.ndarray]:
-    """Each expression over the sample arrays as a read-only float array of the
-    given shape (a broadcast view: only sliced and read, ``np.stack`` copies).
-    All are compiled before any is evaluated."""
+def _tables(exprs, bindings: NumericBindings, velocity: bool = False) -> list[tuple]:
+    """Every expression compiled, then each folded by ``CompiledExpr.folded``
+    in turn; without velocity values, one that needs them is refused there."""
     compiled = [CompiledExpr(e) for e in exprs]
-    return [
-        np.broadcast_to(np.asarray(f(position, velocity, time, bindings), dtype=float), shape)
-        for f in compiled
-    ]
+    tables = []
+    for f in compiled:
+        if f.needs_velocity and not velocity:
+            raise UnboundSymbolError("expression needs a velocity value")
+        tables.append(f.folded(bindings))
+    return tables
+
+
+def _samples(tables, shape, values) -> list[np.ndarray]:
+    """Each folded table summed by ``_sums`` over the seven slot values as a
+    read-only float array of the given shape.
+
+    The slots may be arrays of any shapes that broadcast to it, such as the
+    open-mesh axis slices of a grid slab: each point sees the same products
+    in the same order as on full arrays.  The result is a broadcast view,
+    only sliced and read; ``np.stack`` copies."""
+    return [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in _sums(tables, values)]
 
 
 def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time: float = 0.0):
@@ -308,12 +368,7 @@ def evaluate(expr: Expr, state, bindings: Optional[NumericBindings] = None, time
 def _compile_field(vf: VectorField, bindings: NumericBindings):
     """Compile a vector field once into a function (x1, x2, x3, t) -> three floats,
     each summed as ``CompiledExpr`` sums, with e, m and c folded in once."""
-    comps = []
-    for comp in vf:
-        compiled = CompiledExpr(comp)
-        if compiled.needs_velocity:
-            raise UnboundSymbolError("expression needs a velocity value")
-        comps.append(compiled.folded(bindings))
+    comps = _tables(vf, bindings)
 
     def at(x1: float, x2: float, x3: float, t: float) -> list[float]:
         return _sums(comps, (x1, x2, x3, None, None, None, t))
@@ -494,7 +549,8 @@ def el_residual(
     derivs = [ex.partial(l_expr, (kind, i)) for kind in "vq" for i in (1, 2, 3)]
     pos = tuple(traj.positions[:, k] for k in range(3))
     vel = tuple(traj.velocities[:, k] for k in range(3))
-    sampled = _samples(derivs, (len(traj),), pos, vel, traj.times, bindings)
+    tables = _tables(derivs, bindings, velocity=True)
+    sampled = _samples(tables, (len(traj),), (*pos, *vel, traj.times))
     p = np.stack(sampled[:3], axis=1)
     dl_dq = np.stack(sampled[3:], axis=1)
     dp_dt = (p[2:] - p[:-2]) / (2.0 * traj.h)
@@ -522,7 +578,7 @@ def energy_check(
     pos = tuple(traj.positions[:, k] for k in range(3))
     kinetic = 0.5 * bindings.m * np.sum(traj.velocities**2, axis=1)
     pots = [scalar_pot] if conservative is None else [scalar_pot, conservative]
-    sampled = _samples(pots, (len(traj),), pos, None, traj.times, bindings)
+    sampled = _samples(_tables(pots, bindings), (len(traj),), (*pos, None, None, None, traj.times))
     h_series = kinetic + bindings.e * sampled[0]
     if conservative is not None:
         h_series = h_series + sampled[1]
@@ -615,11 +671,12 @@ def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     sl_minus = [slice(1, -1)] * 3
     sl_plus[axis] = slice(2, None)
     sl_minus[axis] = slice(0, -2)
-    return (values[tuple(sl_plus)] - values[tuple(sl_minus)]) / (2.0 * h)
+    diff = values[tuple(sl_plus)] - values[tuple(sl_minus)]
+    diff /= 2.0 * h
+    return diff
 
 
-def _interior(values: np.ndarray) -> np.ndarray:
-    return values[1:-1, 1:-1, 1:-1]
+_SLAB = 1 << 16  # grid points per slab of interior x1-planes, before the halo
 
 
 # non-finite values are reported as such, not warned about
@@ -637,55 +694,64 @@ def maxwell_grid_residuals(
     are second-order central stencils on interior points.  Without source
     expressions, the Gauss and Ampere-Maxwell rows report the implied
     sources div E and c curl B - dE/dt instead of residuals.
+
+    The cube is worked through in slabs of about ``_SLAB`` interior points,
+    whole x1-planes each.  E and B are sampled on the slab with one halo
+    plane on each side, everything else on its interior points only, and
+    every residual row goes straight into its exact sum of squares.
     """
     bindings = bindings or NumericBindings()
     field_E, field_B = fields
-    axis = grid.axis()
-    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
-    at_mesh = (mesh[0].shape, mesh, None, grid.t0, bindings)
-    h = grid.h
     comps = [*field_E, *field_B]
-    comps += [ex.partial(c, ("t", None)) for c in comps]
-    sampled = _samples(comps, *at_mesh)
-    e_vals, b_vals, de_dt, db_dt = (sampled[k : k + 3] for k in (0, 3, 6, 9))
+    tables = _tables(comps + [ex.partial(comp, ("t", None)) for comp in comps], bindings)
+    rho = None if charge_density is None else _tables([charge_density], bindings)
+    current = None if current_density is None else _tables(current_density, bindings)
+    names = (
+        "magnetic-divergence",
+        "faraday-induction",
+        "implied-charge-density" if rho is None else "gauss-electric",
+        "implied-current-density" if current is None else "ampere-maxwell",
+    )
+    rows = [_SumOfSquares() for _ in names]
+    n, h, c, x = grid.n, grid.h, bindings.c, grid.axis()
 
     def div_fd(vals) -> np.ndarray:
-        return sum(_central_diff(vals[k], k, h) for k in range(3))
+        div = _central_diff(vals[0], 0, h)
+        div += _central_diff(vals[1], 1, h)
+        div += _central_diff(vals[2], 2, h)
+        return div
 
-    def curl_fd(vals) -> list[np.ndarray]:
-        return [
-            _central_diff(vals[2], 1, h) - _central_diff(vals[1], 2, h),
-            _central_diff(vals[0], 2, h) - _central_diff(vals[2], 0, h),
-            _central_diff(vals[1], 0, h) - _central_diff(vals[0], 1, h),
-        ]
+    def curl_fd(vals, out: np.ndarray) -> np.ndarray:
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):  # d_i v_j - d_j v_i
+            np.subtract(_central_diff(vals[j], i, h), _central_diff(vals[i], j, h), out=out[k])
+        return out
 
-    entries = []
-    entries.append(_entry("magnetic-divergence", div_fd(b_vals), h))
-
-    curl_e = curl_fd(e_vals)
-    faraday = [
-        curl_e[k] + _interior(db_dt[k]) / bindings.c for k in range(3)
-    ]
-    entries.append(_entry("faraday-induction", faraday, h))
-
-    div_e = div_fd(e_vals)
-    if charge_density is not None:
-        rho = _interior(_samples([charge_density], *at_mesh)[0])
-        entries.append(_entry("gauss-electric", div_e - rho, h))
-    else:
-        entries.append(_entry("implied-charge-density", div_e, h))
-
-    curl_b = curl_fd(b_vals)
-    if current_density is not None:
-        j_vals = [_interior(v) for v in _samples(current_density, *at_mesh)]
-        ampere = [
-            curl_b[k] - (j_vals[k] + _interior(de_dt[k])) / bindings.c
-            for k in range(3)
-        ]
-        entries.append(_entry("ampere-maxwell", ampere, h))
-    else:
-        implied = [
-            bindings.c * curl_b[k] - _interior(de_dt[k]) for k in range(3)
-        ]
-        entries.append(_entry("implied-current-density", implied, h))
-    return ResidualReport(entries)
+    planes = max(1, _SLAB // (n - 2) ** 2)
+    for a in range(1, n - 1, planes):
+        b = min(a + planes, n - 1)
+        halo = (x[a - 1 : b + 1, None, None], x[None, :, None], x[None, None, :])
+        inner = (x[a:b, None, None], x[None, 1:-1, None], x[None, None, 1:-1])
+        at_inner = ((b - a, n - 2, n - 2), (*inner, None, None, None, grid.t0))
+        fields_at = _samples(tables[:6], (b - a + 2, n, n), (*halo, None, None, None, grid.t0))
+        rates_at = _samples(tables[6:], *at_inner)
+        e_vals, b_vals, de_dt, db_dt = fields_at[:3], fields_at[3:], rates_at[:3], rates_at[3:]
+        rows[0].add(div_fd(b_vals))
+        curl = curl_fd(e_vals, np.empty((3, *at_inner[0])))
+        for k in range(3):
+            curl[k] += db_dt[k] / c
+        rows[1].add(curl)
+        div_e = div_fd(e_vals)
+        if rho is not None:
+            div_e -= _samples(rho, *at_inner)[0]
+        rows[2].add(div_e)
+        curl = curl_fd(b_vals, curl)
+        if current is None:
+            for k in range(3):
+                curl[k] *= c
+                curl[k] -= de_dt[k]
+        else:
+            j_vals = _samples(current, *at_inner)
+            for k in range(3):
+                curl[k] -= (j_vals[k] + de_dt[k]) / c
+        rows[3].add(curl)
+    return ResidualReport([ResidualEntry(name, *row.result(), h) for name, row in zip(names, rows)])

@@ -481,6 +481,118 @@ def reference_norms(values) -> tuple[float, float]:
     )
 
 
+def _reference_grid_norms(values) -> tuple[float, float]:
+    """``numeric._norms`` as it was before the grid rows streamed into one
+    accumulator: one stacked array, binned in blocks of 2^16 squares."""
+    flat = np.ravel(np.asarray(values, dtype=float))
+    if flat.size == 0:
+        return 0.0, 0.0
+    peak = float(np.max(np.abs(flat)))
+    if not math.isfinite(peak * peak):  # an inf square makes the sum inf, a nan nan
+        return peak, math.sqrt(peak * peak)
+    high = np.zeros(2047, dtype=np.int64)
+    low = np.zeros(2047, dtype=np.int64)
+    for start in range(0, flat.size, 1 << 16):
+        block = flat[start : start + (1 << 16)]
+        bits = (block * block).view(np.uint64)
+        field = bits >> np.uint64(52)
+        implicit = (field > 0).astype(np.uint64) << np.uint64(52)
+        significand = (bits & np.uint64(2**52 - 1)) | implicit
+        bins = np.maximum(field, 1).astype(np.intp)
+        high += np.bincount(bins, significand >> np.uint64(27), 2047).astype(np.int64)
+        low += np.bincount(bins, significand & np.uint64(2**27 - 1), 2047).astype(np.int64)
+    total = sum(
+        (int(high[k]) << (k + 27)) + (int(low[k]) << k)
+        for k in np.flatnonzero(high | low).tolist()
+    )
+    try:
+        mean = total / (1 << 1075) / flat.size
+    except OverflowError:  # the sum overflows, the mean (at most the peak's square) does not
+        mean = total / (flat.size << 1075)
+    return peak, math.sqrt(mean)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_maxwell_grid_residuals(
+    fields, grid, bindings=None, charge_density=None, current_density=None
+) -> nm.ResidualReport:
+    """``numeric.maxwell_grid_residuals`` as it was before it streamed the
+    cube in slabs: every component sampled on the three full ``np.meshgrid``
+    arrays, each residual row reduced in one piece."""
+
+    def _samples(exprs, shape, position, velocity, time, bindings):
+        compiled = [nm.CompiledExpr(e) for e in exprs]
+        return [
+            np.broadcast_to(np.asarray(f(position, velocity, time, bindings), dtype=float), shape)
+            for f in compiled
+        ]
+
+    def _central_diff(values, axis, h):
+        sl_plus = [slice(1, -1)] * 3
+        sl_minus = [slice(1, -1)] * 3
+        sl_plus[axis] = slice(2, None)
+        sl_minus[axis] = slice(0, -2)
+        return (values[tuple(sl_plus)] - values[tuple(sl_minus)]) / (2.0 * h)
+
+    def _interior(values):
+        return values[1:-1, 1:-1, 1:-1]
+
+    def _entry(name, values, h):
+        return nm.ResidualEntry(name, *_reference_grid_norms(values), h)
+
+    bindings = bindings or nm.NumericBindings()
+    field_E, field_B = fields
+    axis = grid.axis()
+    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
+    at_mesh = (mesh[0].shape, mesh, None, grid.t0, bindings)
+    h = grid.h
+    comps = [*field_E, *field_B]
+    comps += [ex.partial(c, ("t", None)) for c in comps]
+    sampled = _samples(comps, *at_mesh)
+    e_vals, b_vals, de_dt, db_dt = (sampled[k : k + 3] for k in (0, 3, 6, 9))
+
+    def div_fd(vals):
+        return sum(_central_diff(vals[k], k, h) for k in range(3))
+
+    def curl_fd(vals):
+        return [
+            _central_diff(vals[2], 1, h) - _central_diff(vals[1], 2, h),
+            _central_diff(vals[0], 2, h) - _central_diff(vals[2], 0, h),
+            _central_diff(vals[1], 0, h) - _central_diff(vals[0], 1, h),
+        ]
+
+    entries = []
+    entries.append(_entry("magnetic-divergence", div_fd(b_vals), h))
+
+    curl_e = curl_fd(e_vals)
+    faraday = [
+        curl_e[k] + _interior(db_dt[k]) / bindings.c for k in range(3)
+    ]
+    entries.append(_entry("faraday-induction", faraday, h))
+
+    div_e = div_fd(e_vals)
+    if charge_density is not None:
+        rho = _interior(_samples([charge_density], *at_mesh)[0])
+        entries.append(_entry("gauss-electric", div_e - rho, h))
+    else:
+        entries.append(_entry("implied-charge-density", div_e, h))
+
+    curl_b = curl_fd(b_vals)
+    if current_density is not None:
+        j_vals = [_interior(v) for v in _samples(current_density, *at_mesh)]
+        ampere = [
+            curl_b[k] - (j_vals[k] + _interior(de_dt[k])) / bindings.c
+            for k in range(3)
+        ]
+        entries.append(_entry("ampere-maxwell", ampere, h))
+    else:
+        implied = [
+            bindings.c * curl_b[k] - _interior(de_dt[k]) for k in range(3)
+        ]
+        entries.append(_entry("implied-current-density", implied, h))
+    return nm.ResidualReport(entries)
+
+
 def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
     """The numpy 3-vector stepping that ``numeric.integrate`` replaced.
 

@@ -218,6 +218,8 @@ class TestSimulate:
             ("simulate", "--dt", "nan", "--steps", "10"),
             ("simulate", "--m", "0", "--dt", "0.1", "--steps", "10"),
             ("grid", "--m", "0"),
+            ("grid", "--extent", "inf"),
+            ("grid", "--t0", "nan"),
             (
                 "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",
                 "--m", "1e-200", "--c", "1e-200", "--dt", "0.1", "--steps", "10",

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,12 @@ from embracket.numeric import (
     step_rk4,
 )
 
-from conftest import random_polynomial, reference_integrate, reference_norms
+from conftest import (
+    random_polynomial,
+    reference_integrate,
+    reference_maxwell_grid_residuals,
+    reference_norms,
+)
 
 ZERO_FIELD = VectorField.zero()
 UNIFORM_B = parse_vector_field("0;0;1")
@@ -83,6 +89,9 @@ class TestValidation:
     def test_grid(self):
         with pytest.raises(ValueError):
             GridSpec(1.0, 4)
+        for extent, t0 in ((math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(extent, 9, t0)
         assert GridSpec(1.0, 9).h == pytest.approx(0.25)
 
     def test_state_finite(self):
@@ -383,6 +392,31 @@ def residual_arrays(draw):
     return values
 
 
+@st.composite
+def partitioned_arrays(draw):
+    """An array as consecutive pieces: empty ones, all-zero and all -0.0 ones
+    (whole blocks the sum skips), ones with subnormal squares, finite ones of
+    up to a block and a half, and maybe an inf or nan in a piece after them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ("empty", "zero", "negzero", "subnormal", "finite", "finite")
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        size = draw(st.sampled_from((1, 2, 7, 40, nm._BLOCK - 1, nm._BLOCK, nm._BLOCK + 1)))
+        if kind == "empty":
+            pieces.append(np.zeros(0))
+        elif kind in ("zero", "negzero"):
+            pieces.append(np.full(size, 0.0 if kind == "zero" else -0.0))
+        else:
+            lo, hi = (-170.0, -155.0) if kind == "subnormal" else (-200.0, 150.0)
+            pieces.append(10.0 ** rng.uniform(lo, hi, size) * rng.choice([-1.0, 0.0, 1.0], size))
+    if draw(st.booleans()):
+        special = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+        piece = rng.uniform(-1.0, 1.0, draw(st.integers(1, 20)))
+        piece[draw(st.integers(0, piece.size - 1))] = special
+        pieces.insert(draw(st.integers(1, len(pieces))), piece)
+    return pieces
+
+
 class TestNorms:
     @settings(max_examples=150, deadline=None)
     @given(residual_arrays())
@@ -419,8 +453,105 @@ class TestNorms:
         exact = sum(Fraction(x * x) for x in values) / len(values)
         assert nm._norms(values) == (1.3e154, math.sqrt(float(exact)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(partitioned_arrays())
+    def test_any_split_matches_whole(self, pieces):
+        acc = nm._SumOfSquares()
+        for piece in pieces:
+            acc.add(piece)
+        assert repr(acc.result()) == repr(reference_norms(np.concatenate(pieces)))
+
+    def test_trailing_non_finite_piece(self):
+        for special in (math.inf, -math.inf, math.nan):
+            pieces = [np.full(5, 3.0), np.zeros(0), np.array([1.0, special, 2.0])]
+            acc = nm._SumOfSquares()
+            for piece in pieces:
+                acc.add(piece)
+            assert repr(acc.result()) == repr(reference_norms(np.concatenate(pieces)))
+
+
+def _split_n() -> int:
+    """The smallest grid whose interior planes fill three slabs or more, the
+    last one short."""
+    for n in range(5, nm.MAX_GRID_N + 1):
+        planes = max(1, nm._SLAB // (n - 2) ** 2)
+        if n - 2 > 2 * planes and (n - 2) % planes:
+            return n
+    raise AssertionError("no grid splits into slabs")
+
+
+SPLIT_N = _split_n()
+
+
+def _polynomial_field(rng, max_degree=3) -> VectorField:
+    return VectorField(
+        tuple(
+            random_polynomial(rng, max_degree=max_degree, terms=rng.randint(0, 4))
+            for _ in range(3)
+        )
+    )
+
+
+@st.composite
+def grid_requests(draw):
+    """Random polynomial fields, grid, constants and sources; some fields
+    overflow on the outer planes (x1^64 at extent 1e5) or give nan there."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    field_e, field_b = _polynomial_field(rng), _polynomial_field(rng)
+    extent = draw(st.floats(1e-3, 1e3))
+    special = draw(st.sampled_from((None, None, "overflow", "nan")))
+    if special == "overflow":
+        field_b = VectorField((field_b[0] + parse("x1^64", "field-space"), field_b[1], field_b[2]))
+        extent = 1e5
+    elif special == "nan":  # inf - inf where |x1 x2| and |x1 x3| pass 6.6e4
+        blowup = parse("x1^64*x2^64 - x1^64*x3^64", "field-space")
+        field_e = VectorField((field_e[0], field_e[1] + blowup, field_e[2]))
+        extent = 1e3
+    n = draw(st.one_of(st.integers(5, 45), st.just(SPLIT_N)))
+    grid = GridSpec(extent, n, draw(st.floats(-10, 10)))
+    bindings = NumericBindings(
+        draw(st.floats(-10, 10)), draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    )
+    rho = random_polynomial(rng) if draw(st.booleans()) else None
+    current = _polynomial_field(rng, 2) if draw(st.booleans()) else None
+    return (field_e, field_b), grid, bindings, rho, current
+
 
 class TestGridResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_requests())
+    def test_matches_reference(self, args):
+        got = maxwell_grid_residuals(*args)
+        want = reference_maxwell_grid_residuals(*args)
+        assert [repr(e) for e in got.entries] == [repr(e) for e in want.entries]
+
+    def test_overflow_on_outer_slabs_only(self):
+        # x1^64 passes the largest float beyond |x1| = 6.6e4: at extent 6.7e4
+        # only the two outermost planes, halo planes of the first and the
+        # last slab, overflow
+        grid = GridSpec(6.7e4, SPLIT_N, 0.5)
+        with np.errstate(over="ignore"):
+            powers = grid.axis() ** 64
+        assert np.isinf(powers[[0, -1]]).all() and np.isfinite(powers[1:-1]).all()
+        args = ((parse_vector_field("x1*t;x2^2;0"), parse_vector_field("x1^64;x3*x1;x2")), grid)
+        got = maxwell_grid_residuals(*args)
+        want = reference_maxwell_grid_residuals(*args)
+        assert [repr(e) for e in got.entries] == [repr(e) for e in want.entries]
+        assert got.entry("magnetic-divergence").max == math.inf
+        assert got.entry("faraday-induction").max == 0.0
+
+    def test_memory_bounded_by_slab(self):
+        # the cube at n = 129 holds 2.1M points; the whole-cube version
+        # peaked at 444 MiB here
+        fields = (parse_vector_field("x1*t;x2^2;0"), parse_vector_field("x2^2*x3;x3*x1;x1^3"))
+        tracemalloc.start()
+        try:
+            maxwell_grid_residuals(fields, GridSpec(1.0, 129))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_linear_field_divergence_exact(self):
         report = maxwell_grid_residuals(
             (ZERO_FIELD, parse_vector_field("x1;0;0")), GridSpec(1.0, 9)
