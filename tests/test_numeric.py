@@ -407,7 +407,7 @@ def partitioned_arrays(draw):
         elif kind in ("zero", "negzero"):
             pieces.append(np.full(size, 0.0 if kind == "zero" else -0.0))
         else:
-            lo, hi = (-170.0, -155.0) if kind == "subnormal" else (-200.0, 150.0)
+            lo, hi = (-161.6, -154.2) if kind == "subnormal" else (-200.0, 150.0)
             pieces.append(10.0 ** rng.uniform(lo, hi, size) * rng.choice([-1.0, 0.0, 1.0], size))
     if draw(st.booleans()):
         special = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
@@ -455,6 +455,7 @@ class TestNorms:
 
     @settings(max_examples=60, deadline=None)
     @given(partitioned_arrays())
+    @example([np.geomspace(3e-162, 1e-155, 50), np.zeros(nm._BLOCK), np.array([-2e-160])])
     def test_any_split_matches_whole(self, pieces):
         acc = nm._SumOfSquares()
         for piece in pieces:
