@@ -41,6 +41,13 @@ taken in input order: it drops a zero term, rejects a name occurring more
 than twice, replaces a term by what the first applicable rule returns, and
 hands a term no rule changes to ``_canonical_term``.
 
+An index-free term, one with no symbolic name and no delta or epsilon atom
+(every DSL-parsed field and force is a sum of such terms), skips the rules
+and the relabeling search: no rule applies to it, it has no dummy to
+relabel and no epsilon sign, so its canonical form is its atoms normalized
+and sorted.  Likewise ``_term_pairs`` renames summed indices apart only
+when both terms of a pair carry a symbolic name, since nothing else clashes.
+
 Every sum of canonical expressions goes through one private ``_sum``: it
 chains the terms of all addends and collects them once, building each
 term's sort key once, so an n-term accumulation costs one O(n log n) sort
@@ -481,6 +488,10 @@ def _canonicalize_terms(raw: Iterable[Term]) -> tuple[Term, ...]:
         if coeff == 0:
             continue
         counts = _name_counts(atoms)
+        if not counts and not any(isinstance(a, (Delta, Eps)) for a in atoms):
+            # index-free: no rule applies, no dummy to relabel, no epsilon sign
+            pieces.append((coeff, cpow, _normalized(atoms)[1]))
+            continue
         for name, n in counts.items():
             if n > 2:
                 raise IndexConventionError(f"index {name!r} appears {n} times in one monomial")
@@ -511,14 +522,18 @@ def _term_pairs(a: "Expr", b: "Expr"):
     """Every pair of terms of a and b as (coeff, cpow, atoms_a, atoms_b).
 
     Summed indices are renamed apart so that only the free indices the two
-    factors share contract in their product.
+    factors share contract in their product.  Each term's name set is built
+    once, and a pair is renamed only when both of its terms carry a symbolic
+    name: with none on either side nothing can clash.
     """
+    named_b = [(tb, set(_name_counts(tb[2]))) for tb in b.terms]
     for ta in a.terms:
-        for tb in b.terms:
-            names_a = set(_name_counts(ta[2]))
-            names_b = set(_name_counts(tb[2]))
-            ta2 = _rename_dummies_apart(ta, names_b)
-            tb2 = _rename_dummies_apart(tb, names_a | set(_name_counts(ta2[2])))
+        names_a = set(_name_counts(ta[2]))
+        for tb, names_b in named_b:
+            ta2, tb2 = ta, tb
+            if names_a and names_b:
+                ta2 = _rename_dummies_apart(ta, names_b)
+                tb2 = _rename_dummies_apart(tb, names_a | set(_name_counts(ta2[2])))
             cpow = tuple(x + y for x, y in zip(ta2[1], tb2[1]))
             yield ta2[0] * tb2[0], cpow, ta2[2], tb2[2]
 

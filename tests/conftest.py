@@ -291,6 +291,19 @@ def reference_canonicalize_terms(raw: Iterable[ex.Term]) -> tuple[ex.Term, ...]:
     return ex._collect(pieces)
 
 
+def reference_term_pairs(a, b):
+    """The ``expr._term_pairs`` that rebuilt both name sets for every pair and
+    renamed every pair apart, whether or not either term carried a name."""
+    for ta in a.terms:
+        for tb in b.terms:
+            names_a = set(ex._name_counts(ta[2]))
+            names_b = set(ex._name_counts(tb[2]))
+            ta2 = ex._rename_dummies_apart(ta, names_b)
+            tb2 = ex._rename_dummies_apart(tb, names_a | set(ex._name_counts(ta2[2])))
+            cpow = tuple(x + y for x, y in zip(ta2[1], tb2[1]))
+            yield ta2[0] * tb2[0], cpow, ta2[2], tb2[2]
+
+
 def reference_collect(terms):
     """The ``expr._collect`` that re-derived every sort key in a second pass."""
     acc = {}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embracket import expr as ex
-from embracket.dsl import CONTEXTS, ParseError, parse, parse_vector_field
+from embracket.dsl import CONTEXTS, ParseError, parse, parse_components, parse_vector_field
 from embracket.expr import (
     VectorField,
     ZERO,
@@ -39,6 +39,7 @@ from conftest import (
     reference_canonicalize_terms,
     reference_parse,
     reference_partial,
+    reference_term_pairs,
 )
 
 
@@ -592,6 +593,78 @@ class TestRuleWorklist:
         assert str(new.value) == str(old.value)
 
 
+def _slots_reversed(atom):
+    """The atom with its derivative slots in reverse order."""
+    if isinstance(atom, ex.Field):
+        return ex.Field(atom.family, atom.index, atom.derivs[::-1])
+    if isinstance(atom, ex.Scalar):
+        return ex.Scalar(atom.family, atom.derivs[::-1])
+    return atom
+
+
+@st.composite
+def index_free_terms(draw):
+    """Atoms with concrete indices only, no delta and no epsilon: variables,
+    t, and fields whose derivative slots come in any order, some repeated."""
+    ints = st.integers(1, 3)
+    slots = st.lists(
+        st.one_of(st.tuples(st.sampled_from("qx"), ints), st.just(("t", None))), max_size=3
+    ).map(tuple)
+    atom = st.one_of(
+        st.builds(ex.Var, st.sampled_from("qvxa"), ints),
+        st.just(ex.Var("t")),
+        st.builds(ex.Field, st.sampled_from("EBA"), ints, slots),
+        st.builds(ex.Scalar, st.sampled_from(ex.SCALAR_FAMILIES), slots),
+    )
+    atoms = draw(st.lists(atom, max_size=4))
+    if atoms:
+        atoms += draw(st.lists(st.sampled_from(atoms), max_size=2))
+    return tuple(draw(st.permutations(atoms)))
+
+
+@st.composite
+def index_free_raw(draw):
+    """Raw terms, index-free or (in a mixed list) from ``rewrite_terms``, with
+    e/m/c powers, zero coefficients and twins that cancel a drawn term."""
+    coeffs = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)])
+    cpows = st.tuples(*[st.integers(-2, 2)] * 3)
+    atoms = index_free_terms()
+    if draw(st.booleans()):  # a mixed list
+        atoms = st.one_of(atoms, rewrite_terms())
+    raw = draw(st.lists(st.tuples(coeffs, cpows, atoms), min_size=1, max_size=4))
+    for coeff, cpow, ats in draw(st.lists(st.sampled_from(raw), max_size=2)):
+        twin = tuple(_slots_reversed(a) for a in draw(st.permutations(ats)))
+        raw.append((-coeff, cpow, twin))
+    return draw(st.permutations(raw))
+
+
+class TestIndexFreeTerms:
+    """Terms with no symbolic name and no delta or epsilon go straight to the
+    atom sort; the result must be the full worklist's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_free_raw())
+    def test_fast_path_matches_reference(self, raw):
+        assert ex._canonicalize_terms(raw) == reference_canonicalize_terms(raw)
+
+    def test_index_free_parses_skip_rules_and_relabeling(self, monkeypatch):
+        calls = {"canonical": 0, "rules": 0}
+
+        def counted(fn, key):
+            def shim(*args):
+                calls[key] += 1
+                return fn(*args)
+            return shim
+
+        monkeypatch.setattr(ex, "_canonical_term", counted(ex._canonical_term, "canonical"))
+        monkeypatch.setattr(ex, "_RULES", tuple(counted(rule, "rules") for rule in ex._RULES))
+        parse("(q1+q2+v3+t+1)^4")
+        parse_components("e/c*v2;-e/c*v1;0", "phase-space")
+        assert calls == {"canonical": 0, "rules": 0}
+        parse("eps(i,j,k)*v[j]*B[k]", "extended")
+        assert calls["canonical"] > 0
+
+
 @st.composite
 def carved_exprs(draw):
     """A sum of up to three carved terms with small rational coefficients."""
@@ -654,6 +727,42 @@ class TestSumAndPartial:
         assert (a + b).terms == reference_add(a, b).terms
         assert (a - b).terms == reference_add(a, -b).terms
         assert (a - a).is_zero
+
+
+def _product_through(pairs, a, b):
+    return ex.Expr(tuple((c, p, aa + ab) for c, p, aa, ab in pairs(a, b)))
+
+
+class TestTermPairs:
+    """Products whose pairs skip the rename-apart when a side has no name,
+    against the pairs that renamed every pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_exprs(), any_exprs())
+    def test_products_match_reference(self, a, b):
+        assert (a * b).terms == _product_through(reference_term_pairs, a, b).terms
+
+    def test_dummies_clashing_with_a_free_name_are_renamed(self):
+        a = ex.q("i")
+        b = ex.q("i") * ex.v("i")  # summed i, clashing with the free i of a
+        product = a * b
+        assert product.terms == _product_through(reference_term_pairs, a, b).terms
+        assert product.free_indices() == {"i"}
+        qv = sum((ex.q(n) * ex.v(n) for n in (1, 2, 3)), start=ZERO)
+        assert ex.expand_dummies(ex.instantiate_indices(product, {"i": 2})) == ex.q(2) * qv
+
+    def test_one_named_side_is_not_renamed(self, monkeypatch):
+        a = parse("q1+t^2")
+        b = parse("eps(i,j,k)*v[j]*B[k]", "extended")
+        expected = _product_through(reference_term_pairs, a, b).terms
+        renames = []
+        rename = ex._rename_dummies_apart
+        monkeypatch.setattr(
+            ex, "_rename_dummies_apart", lambda *args: renames.append(args) or rename(*args)
+        )
+        assert (a * b).terms == expected
+        assert (b * a).terms == expected
+        assert renames == []
 
 
 class TestArithmetic:
