@@ -279,10 +279,7 @@ def _name_counts(atoms: Iterable[Atom]) -> dict[str, int]:
     return counts
 
 
-_EPS_SIGN = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1,
-}
+_EPS_SIGN = {p: _sort3_signed(p)[0] for p in itertools.permutations(SPATIAL_RANGE)}
 
 _gensym_counter = itertools.count()
 
@@ -691,11 +688,7 @@ def _dvar_str(dv: DVar) -> str:
 
 def _atom_str(atom: Atom) -> str:
     if isinstance(atom, Var):
-        if atom.kind == "t":
-            return "t"
-        if isinstance(atom.index, int):
-            return f"{atom.kind}{atom.index}"
-        return f"{atom.kind}[{atom.index}]"
+        return _dvar_str((atom.kind, atom.index))
     if isinstance(atom, Delta):
         return f"delta({atom.a},{atom.b})"
     if isinstance(atom, Eps):
@@ -1018,12 +1011,10 @@ def substitute_fields(expr: Expr, bindings: Mapping[str, object]) -> Expr:
                         f"family {atom.family!r} needs a scalar expression binding"
                     )
                 piece = piece * _apply_derivs(binding, atom.derivs)
-            elif isinstance(atom, Var) and atom.kind == "q":
-                piece = piece * x(atom.index)
             else:
                 piece = piece * _atom_expr(atom)
         pieces.append(piece)
-    return _sum(pieces)
+    return _field_space(_sum(pieces))
 
 
 def _apply_derivs(component: Expr, derivs: tuple) -> Expr:

@@ -153,21 +153,8 @@ class ConditionResult:
 class HelmholtzReport:
     """Outcome of the potentiality test, condition by condition."""
 
-    linearity: ConditionResult
-    velocity_symmetry: ConditionResult
-    mixed_gradient: ConditionResult
-    affine_antisymmetry: Optional[ConditionResult]
-    affine_cyclic: Optional[ConditionResult]
-    affine_time: Optional[ConditionResult]
+    conditions: tuple[ConditionResult, ...]
     hessian: tuple[tuple[Expr, ...], ...]
-
-    @property
-    def conditions(self) -> tuple[ConditionResult, ...]:
-        out = [self.linearity, self.velocity_symmetry, self.mixed_gradient]
-        for extra in (self.affine_antisymmetry, self.affine_cyclic, self.affine_time):
-            if extra is not None:
-                out.append(extra)
-        return tuple(out)
 
     @property
     def passed(self) -> bool:
@@ -246,13 +233,12 @@ def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
         ))
         for i, j in _PAIRS
     )
-    mixed_gradient = _nonzero("mixed-gradient", zip(_PAIRS, mixed))
+    conditions = [linearity, velocity_symmetry, _nonzero("mixed-gradient", zip(_PAIRS, mixed))]
 
-    affine_anti = affine_cyc = affine_time = None
     if linearity.passed:
         b = _affine_offset(comps, a)
         # a_ij + a_ji over the same components: the velocity-symmetry entries
-        affine_anti = ConditionResult("affine-antisymmetry", velocity_symmetry.residuals)
+        conditions.append(ConditionResult("affine-antisymmetry", velocity_symmetry.residuals))
         # The cyclic gradient condition is reported in the orientation that
         # writes the Lorentz matrix as -(e/c) eps_ijk B_k (the transpose of
         # the literal velocity gradient); its (1,2,3) entry is then exactly
@@ -265,7 +251,7 @@ def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
             ))
             for i, s, j in _TRIPLES
         )
-        affine_cyc = _nonzero("affine-cyclic", zip(_TRIPLES, cyc))
+        conditions.append(_nonzero("affine-cyclic", zip(_TRIPLES, cyc)))
         tcond = (
             ex._sum((
                 partial(b[i - 1], ("q", j)),
@@ -274,12 +260,10 @@ def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
             ))
             for i, j in _PAIRS
         )
-        affine_time = _nonzero("affine-time", zip(_PAIRS, tcond))
+        conditions.append(_nonzero("affine-time", zip(_PAIRS, tcond)))
 
     hessian = tuple(tuple(M_SYM if i == j else ZERO for j in range(3)) for i in range(3))
-    return HelmholtzReport(
-        linearity, velocity_symmetry, mixed_gradient, affine_anti, affine_cyc, affine_time, hessian
-    )
+    return HelmholtzReport(tuple(conditions), hessian)
 
 
 def decompose(force: ForceLaw) -> AffineDecomposition:

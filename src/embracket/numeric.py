@@ -59,6 +59,8 @@ class NumericBindings:
     c: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in (self.e, self.m, self.c)):
+            raise ValueError("e, m and c must be finite")
         if not (self.m > 0 and self.c > 0):
             raise ValueError("m and c must be positive")
 
@@ -303,16 +305,17 @@ class CompiledExpr:
         self.table = tuple(table)
         self.needs_velocity = any(3 <= s < 6 for _, _, slots in table for s in slots)
 
-    def folded(self, bindings: NumericBindings) -> tuple:
-        """The (coefficient, slots) terms with e, m and c folded in by ``_constant``."""
+    def folded(self, bindings: NumericBindings, velocity: bool) -> tuple:
+        """The (coefficient, slots) terms with e, m and c folded in by ``_constant``;
+        without velocity values, an expression that needs them is refused."""
+        if self.needs_velocity and not velocity:
+            raise UnboundSymbolError("expression needs a velocity value")
         return tuple((_constant(c, cpow, bindings), slots) for c, cpow, slots in self.table)
 
     def __call__(self, position, velocity, time, bindings: NumericBindings):
-        if velocity is None and self.needs_velocity:
-            raise UnboundSymbolError("expression needs a velocity value")
         vel = (None, None, None) if velocity is None else velocity
         values = (position[0], position[1], position[2], vel[0], vel[1], vel[2], time)
-        return _sums((self.folded(bindings),), values)[0]
+        return _sums((self.folded(bindings, velocity is not None),), values)[0]
 
 
 def _sums(tables: Sequence[tuple], values: Sequence) -> list:
@@ -330,15 +333,8 @@ def _sums(tables: Sequence[tuple], values: Sequence) -> list:
 
 
 def _tables(exprs, bindings: NumericBindings, velocity: bool = False) -> list[tuple]:
-    """Every expression compiled, then each folded by ``CompiledExpr.folded``
-    in turn; without velocity values, one that needs them is refused there."""
-    compiled = [CompiledExpr(e) for e in exprs]
-    tables = []
-    for f in compiled:
-        if f.needs_velocity and not velocity:
-            raise UnboundSymbolError("expression needs a velocity value")
-        tables.append(f.folded(bindings))
-    return tables
+    """Every expression compiled, then each folded by ``CompiledExpr.folded`` in turn."""
+    return [f.folded(bindings, velocity) for f in [CompiledExpr(e) for e in exprs]]
 
 
 def _samples(tables, shape, values) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """Bracket engine: rule table, axioms, and the certified derivation chain."""
 
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -504,6 +505,23 @@ class TestRunChain:
         for constraint in blob["constraints"]:
             assert set(constraint) >= {"expr", "verdict"}
         assert blob["pass"] is True
+
+    def test_qF_matrix_bracketed_twice(self, monkeypatch):
+        # once in the qF-antisymmetry steps, once for the consistency and
+        # dual-form steps
+        positions = {ex.q(i) for i in (1, 2, 3)}
+        ansatz = set(lorentz_force())
+        pairs = []
+
+        def counted(a, b):
+            if a in positions and b in ansatz:
+                pairs.append((a, b))
+            return bracket(a, b)
+
+        # the package exports the function under the module's name
+        monkeypatch.setattr(importlib.import_module("embracket.bracket"), "bracket", counted)
+        assert run_chain().passed
+        assert len(pairs) == 18
 
     def test_expressions_reparse(self):
         report = run_chain()

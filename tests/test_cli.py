@@ -361,6 +361,24 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("grid", "--n", "5", "--e", "nan", "--field-E", "x1;0;0"),
+            ("grid", "--n", "5", "--m", "inf", "--field-E", "x1;0;0"),
+            ("grid", "--n", "5", "--c", "nan", "--field-E", "x1;0;0"),
+            ("simulate", "--field-B", "0;0;1", "--dt", "0.1", "--steps", "5", "--c", "inf"),
+            ("simulate", "--field-B", "0;0;1", "--dt", "0.1", "--steps", "5", "--e", "inf"),
+            ("simulate", "--field-B", "0;0;1", "--dt", "0.1", "--steps", "5", "--m", "inf"),
+        ],
+    )
+    def test_nonfinite_constant_exits_two(self, capsys, tmp_path, argv):
+        out = tmp_path / "o"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"{argv[0]}: e, m and c must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("grid", "--field-B", "x2;x3;x1", "--n", "100000"),
             (
                 "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",

@@ -984,6 +984,13 @@ class TestVectorField:
 class TestLeviCivitaHelpers:
     """The shared eps contractions against brute sums over eps_value."""
 
+    def test_sign_table_matches_eps_value(self):
+        # the reference canonicalizer reads _EPS_SIGN too, so check it here
+        perms = set(itertools.permutations((1, 2, 3)))
+        assert set(ex._EPS_SIGN) == perms
+        for p in perms:
+            assert ex._EPS_SIGN[p] == eps_value(*p)
+
     @staticmethod
     def vectors(seed):
         rng = random.Random(seed)

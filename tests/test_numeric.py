@@ -86,6 +86,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             NumericBindings(c=-1.0)
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan)]
+    )
+    def test_bindings_must_be_finite(self, values):
+        with pytest.raises(ValueError, match="e, m and c must be finite"):
+            NumericBindings(*values)
+
     def test_grid(self):
         with pytest.raises(ValueError):
             GridSpec(1.0, 4)
