@@ -755,8 +755,14 @@ C_SYM = _const(0, 0, 1)
 
 
 def _atom_expr(*atoms: Atom) -> Expr:
-    """The product of the given atoms with unit coefficient."""
-    return Expr(((Fraction(1), (0, 0, 0), atoms),))
+    """The product of the given atoms with unit coefficient.
+
+    One variable, or one field atom with no derivative slot, is canonical as
+    it stands; anything else goes through the canonicalizer.
+    """
+    bare = len(atoms) == 1 and isinstance(atoms[0], (Var, Field, Scalar))
+    bare = bare and not getattr(atoms[0], "derivs", ())
+    return Expr(((Fraction(1), (0, 0, 0), atoms),), _canonical=bare)
 
 
 def q(i: Index) -> Expr:

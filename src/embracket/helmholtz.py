@@ -12,6 +12,11 @@ time derivative of a).  Passing forces are decomposed into electric and
 magnetic fields, potentials are constructed by the star-shaped homotopy
 integral, and the minimally coupled Lagrangian is rebuilt and round-tripped
 through its Euler-Lagrange equations.
+
+The conditions read one derivative jet, each first partial taken once: a =
+dF/dv, its v, q and t partials, dF/dq and db/dq.  d/dt is the chain rule
+del_t + v_k del_q_k + a_k del_v_k over concrete k, in the mixed condition
+and in the round trip alike.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .expr import (
     phase_space,
     rational,
     time_derivative_field,
-    total_time_derivative,
     v,
     x,
 )
@@ -199,44 +203,57 @@ _PAIRS = tuple(itertools.product((1, 2, 3), repeat=2))
 _TRIPLES = tuple(itertools.product((1, 2, 3), repeat=3))
 
 
-def _linearity(a) -> ConditionResult:
+def _grad(e: Expr, kind: str) -> tuple[Expr, Expr, Expr]:
+    """(de/dkind_1, de/dkind_2, de/dkind_3) for kind q or v."""
+    return tuple(partial(e, (kind, k)) for k in (1, 2, 3))
+
+
+def _gradients(a, kind: str) -> tuple:
+    """da_ij/dkind_k, indexed [i][j][k], for kind q or v."""
+    return tuple(tuple(_grad(aij, kind) for aij in row) for row in a)
+
+
+def _linearity(a_v) -> ConditionResult:
     """da_ij/dv_k must vanish: the force is affine in the velocity."""
-    return _nonzero(
-        "linearity", (((i, j, k), partial(a[i - 1][j - 1], ("v", k))) for i, j, k in _TRIPLES)
-    )
+    return _nonzero("linearity", (((i, j, k), a_v[i - 1][j - 1][k - 1]) for i, j, k in _TRIPLES))
 
 
 def check_linearity(force: ForceLaw) -> ConditionResult:
     """Second velocity derivatives of every component must vanish."""
-    return _linearity(_velocity_gradient(force.total_components()))
+    return _linearity(_gradients(_velocity_gradient(force.total_components()), "v"))
 
 
-def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
-    """Evaluate the potentiality conditions symbolically.
+def _flow_derivative(d_t: Expr, d_q, d_v) -> Expr:
+    """d/dt = del_t + v_k del_q_k + a_k del_v_k from the partials, k = 1, 2, 3."""
+    pairs = [*zip(map(v, (1, 2, 3)), d_q), *zip(map(accel, (1, 2, 3)), d_v)]
+    return ex._sum((d_t, *(s * d for s, d in pairs if not d.is_zero)))
 
-    The velocity gradient a_ij = dF_i/dv_j is taken once and every condition
-    is read off it.  The total time derivative in the mixed condition is
-    taken in free mode; for affine forces the acceleration terms drop out on
-    their own.
-    """
+
+def _checked_gradient(force: ForceLaw) -> tuple[HelmholtzReport, tuple]:
+    """The potentiality report and the velocity gradient it was read from."""
     comps = force.total_components()
     a = _velocity_gradient(comps)
-    linearity = _linearity(a)
+    # the jet: every first partial the conditions need, each taken once
+    a_v, a_q = _gradients(a, "v"), _gradients(a, "q")
+    a_t = tuple(tuple(partial(aij, ("t", None)) for aij in row) for row in a)
+    f_q = tuple(_grad(comp, "q") for comp in comps)
+
+    linearity = _linearity(a_v)
     velocity_symmetry = _nonzero(
         "velocity-symmetry", (((i, j), a[i - 1][j - 1] + a[j - 1][i - 1]) for i, j in _PAIRS)
     )
     mixed = (
         ex._sum((
-            partial(comps[i - 1], ("q", j)),
-            -partial(comps[j - 1], ("q", i)),
-            total_time_derivative(a[j - 1][i - 1], mode="free"),
+            f_q[i - 1][j - 1],
+            -f_q[j - 1][i - 1],
+            _flow_derivative(a_t[j - 1][i - 1], a_q[j - 1][i - 1], a_v[j - 1][i - 1]),
         ))
         for i, j in _PAIRS
     )
     conditions = [linearity, velocity_symmetry, _nonzero("mixed-gradient", zip(_PAIRS, mixed))]
 
     if linearity.passed:
-        b = _affine_offset(comps, a)
+        b_q = tuple(_grad(bi, "q") for bi in _affine_offset(comps, a))
         # a_ij + a_ji over the same components: the velocity-symmetry entries
         conditions.append(ConditionResult("affine-antisymmetry", velocity_symmetry.residuals))
         # The cyclic gradient condition is reported in the orientation that
@@ -244,26 +261,30 @@ def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
         # the literal velocity gradient); its (1,2,3) entry is then exactly
         # -(e/c) div B.
         cyc = (
-            ex._sum((
-                partial(a[s - 1][i - 1], ("q", j)),
-                partial(a[j - 1][s - 1], ("q", i)),
-                partial(a[i - 1][j - 1], ("q", s)),
-            ))
+            ex._sum((a_q[s - 1][i - 1][j - 1], a_q[j - 1][s - 1][i - 1], a_q[i - 1][j - 1][s - 1]))
             for i, s, j in _TRIPLES
         )
         conditions.append(_nonzero("affine-cyclic", zip(_TRIPLES, cyc)))
         tcond = (
-            ex._sum((
-                partial(b[i - 1], ("q", j)),
-                -partial(b[j - 1], ("q", i)),
-                -partial(a[i - 1][j - 1], ("t", None)),
-            ))
+            ex._sum((b_q[i - 1][j - 1], -b_q[j - 1][i - 1], -a_t[i - 1][j - 1]))
             for i, j in _PAIRS
         )
         conditions.append(_nonzero("affine-time", zip(_PAIRS, tcond)))
 
     hessian = tuple(tuple(M_SYM if i == j else ZERO for j in range(3)) for i in range(3))
-    return HelmholtzReport(tuple(conditions), hessian)
+    return HelmholtzReport(tuple(conditions), hessian), a
+
+
+def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
+    """Evaluate the potentiality conditions symbolically.
+
+    Every first partial the conditions use is taken once (the jet): the
+    velocity gradient a_ij = dF_i/dv_j, its v, q and t partials, dF_i/dq_j,
+    and for affine forces db_i/dq_j.  The total time derivative in the mixed
+    condition is the chain rule over concrete k, with acceleration symbols
+    kept free; for affine forces they drop out on their own.
+    """
+    return _checked_gradient(force)[0]
 
 
 def decompose(force: ForceLaw) -> AffineDecomposition:
@@ -273,15 +294,15 @@ def decompose(force: ForceLaw) -> AffineDecomposition:
     separate so the field identification stays clean.
     """
     a = _velocity_gradient(force.components)
-    lin = _linearity(a)
+    lin = _linearity(_gradients(a, "v"))
     if not lin.passed:
         idx, witness = lin.residuals[0]
         raise PotentialConstructionError(
             f"force is not affine in velocity at {idx}", witness
         )
     deco = AffineDecomposition(a, _affine_offset(force.components, a))
-    for orig, back in zip(force.components, deco.reconstruct()):
-        assert (orig - back).is_zero
+    if not all((orig - back).is_zero for orig, back in zip(force.components, deco.reconstruct())):
+        raise AssertionError("a_ij v_j + b_i does not give the force back")
     return deco
 
 
@@ -336,8 +357,8 @@ def poincare_vector_potential(field_B: VectorField) -> VectorField:
         raise PotentialConstructionError("magnetic field has nonzero divergence", div_b)
     weighted = [_scale_degree_integral(b_i, 2) for b_i in field_B]
     result = VectorField(ex._cross(weighted, [x(i) for i in (1, 2, 3)]))
-    residual = [ci - bi for ci, bi in zip(curl(result), field_B)]
-    assert all(r.is_zero for r in residual)
+    if not all((ci - bi).is_zero for ci, bi in zip(curl(result), field_B)):
+        raise AssertionError("curl A does not give B back")
     return result
 
 
@@ -360,8 +381,8 @@ def scalar_potential(field_E: VectorField, vec_potential: VectorField) -> Expr:
             tuple(curl_g),
         )
     a0 = -ex._sum(_scale_degree_integral(g[i - 1], 1) * x(i) for i in (1, 2, 3))
-    residual = [gi + ai for gi, ai in zip(gradient(a0), g)]
-    assert all(r.is_zero for r in residual)
+    if not all((gi + ai).is_zero for gi, ai in zip(gradient(a0), g)):
+        raise AssertionError("-grad A0 does not give E + (1/c) dA/dt back")
     return a0
 
 
@@ -412,11 +433,11 @@ def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     fail and :class:`PotentialConstructionError` when no polynomial
     potentials exist.
     """
-    report = helmholtz_check(force)
+    report, a = _checked_gradient(force)
     if not report.passed:
         raise NotVariationalError(report)
-    deco = decompose(force)
-    e_q, b_q = identify_fields(deco)
+    # linearity passed, and the potential has no v: a is the stored components' gradient
+    e_q, b_q = identify_fields(AffineDecomposition(a, _affine_offset(force.components, a)))
     _require_concrete(e_q + b_q, "identified field")
     field_e = VectorField(tuple(ex._field_space(c) for c in e_q))
     field_b = VectorField(tuple(ex._field_space(c) for c in b_q))
@@ -432,9 +453,8 @@ def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     ])
 
     result = LagrangianExpr(lagrangian, vec_pot, a0, force.potential)
-    for i, row in enumerate(result.hessian()):
-        for j, h in enumerate(row):
-            assert h == (M_SYM if i == j else ZERO)
+    if result.hessian() != report.hessian:
+        raise AssertionError("the Lagrangian's velocity Hessian is not m delta_ij")
     return result
 
 
@@ -449,11 +469,9 @@ def euler_lagrange_roundtrip(
     comps = force.total_components()
     out = []
     for i in (1, 2, 3):
-        el = total_time_derivative(partial(l_expr, ("v", i)), mode="free") - partial(
-            l_expr, ("q", i)
-        )
-        target = M_SYM * accel(i) - comps[i - 1]
-        out.append(target - el)
+        p_i = partial(l_expr, ("v", i))
+        dp_i = _flow_derivative(partial(p_i, ("t", None)), _grad(p_i, "q"), _grad(p_i, "v"))
+        out.append(M_SYM * accel(i) - comps[i - 1] - (dp_i - partial(l_expr, ("q", i))))
     return tuple(out)
 
 

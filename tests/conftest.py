@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from embracket import expr as ex
+from embracket import helmholtz as hh
 from embracket import numeric as nm
 from embracket.dsl import CONTEXTS, ParseError
 from embracket.expr import Expr
@@ -996,6 +997,90 @@ def reference_parse(text: str, context: str = "phase-space") -> Expr:
     if trailing.kind != "end":
         raise ParseError(trailing.pos, "trailing input", trailing.value or None)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Helmholtz conditions and the Euler-Lagrange round trip as they were before
+# the derivative jet: repeated partials and total_time_derivative in free mode
+
+
+def _reference_linearity(a) -> hh.ConditionResult:
+    """da_ij/dv_k must vanish: the force is affine in the velocity."""
+    return hh._nonzero(
+        "linearity", (((i, j, k), ex.partial(a[i - 1][j - 1], ("v", k))) for i, j, k in hh._TRIPLES)
+    )
+
+
+def reference_helmholtz_check(force: hh.ForceLaw) -> hh.HelmholtzReport:
+    """Evaluate the potentiality conditions symbolically.
+
+    The velocity gradient a_ij = dF_i/dv_j is taken once and every condition
+    is read off it.  The total time derivative in the mixed condition is
+    taken in free mode; for affine forces the acceleration terms drop out on
+    their own.
+    """
+    comps = force.total_components()
+    a = hh._velocity_gradient(comps)
+    linearity = _reference_linearity(a)
+    velocity_symmetry = hh._nonzero(
+        "velocity-symmetry", (((i, j), a[i - 1][j - 1] + a[j - 1][i - 1]) for i, j in hh._PAIRS)
+    )
+    mixed = (
+        ex._sum((
+            ex.partial(comps[i - 1], ("q", j)),
+            -ex.partial(comps[j - 1], ("q", i)),
+            ex.total_time_derivative(a[j - 1][i - 1], mode="free"),
+        ))
+        for i, j in hh._PAIRS
+    )
+    conditions = [linearity, velocity_symmetry, hh._nonzero("mixed-gradient", zip(hh._PAIRS, mixed))]
+
+    if linearity.passed:
+        b = hh._affine_offset(comps, a)
+        # a_ij + a_ji over the same components: the velocity-symmetry entries
+        conditions.append(hh.ConditionResult("affine-antisymmetry", velocity_symmetry.residuals))
+        # The cyclic gradient condition is reported in the orientation that
+        # writes the Lorentz matrix as -(e/c) eps_ijk B_k (the transpose of
+        # the literal velocity gradient); its (1,2,3) entry is then exactly
+        # -(e/c) div B.
+        cyc = (
+            ex._sum((
+                ex.partial(a[s - 1][i - 1], ("q", j)),
+                ex.partial(a[j - 1][s - 1], ("q", i)),
+                ex.partial(a[i - 1][j - 1], ("q", s)),
+            ))
+            for i, s, j in hh._TRIPLES
+        )
+        conditions.append(hh._nonzero("affine-cyclic", zip(hh._TRIPLES, cyc)))
+        tcond = (
+            ex._sum((
+                ex.partial(b[i - 1], ("q", j)),
+                -ex.partial(b[j - 1], ("q", i)),
+                -ex.partial(a[i - 1][j - 1], ("t", None)),
+            ))
+            for i, j in hh._PAIRS
+        )
+        conditions.append(hh._nonzero("affine-time", zip(hh._PAIRS, tcond)))
+
+    hessian = tuple(tuple(ex.M_SYM if i == j else ex.ZERO for j in range(3)) for i in range(3))
+    return hh.HelmholtzReport(tuple(conditions), hessian)
+
+
+def reference_euler_lagrange_roundtrip(lagrangian, force: hh.ForceLaw) -> tuple[Expr, Expr, Expr]:
+    """(m a_i - F_i) minus the Euler-Lagrange expression of L, per component.
+
+    Identically zero exactly when L generates the force.
+    """
+    l_expr = lagrangian.L if isinstance(lagrangian, hh.LagrangianExpr) else lagrangian
+    comps = force.total_components()
+    out = []
+    for i in (1, 2, 3):
+        el = ex.total_time_derivative(ex.partial(l_expr, ("v", i)), mode="free") - ex.partial(
+            l_expr, ("q", i)
+        )
+        target = ex.M_SYM * ex.accel(i) - comps[i - 1]
+        out.append(target - el)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

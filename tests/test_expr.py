@@ -665,6 +665,27 @@ class TestIndexFreeTerms:
         assert calls["canonical"] > 0
 
 
+class TestBareAtoms:
+    """One variable, or one field atom with no derivative slot, is built
+    canonical; the canonicalizer must leave it as it is."""
+
+    @pytest.mark.parametrize("index", [2, "i"])
+    def test_one_atom_constructors_are_canonical(self, index):
+        built = [
+            ex.q(index), ex.v(index), ex.x(index), ex.accel(index), ex.t(),
+            ex.field_component("E", index), ex.field_component("B", index),
+            ex.field_component("A", index), ex.scalar_field("A0"), ex.scalar_field("U"),
+        ]
+        for e in built:
+            assert ex.Expr(e.terms).terms == e.terms
+
+    def test_delta_and_eps_still_canonicalize(self):
+        assert ex.delta(1, 1) == ex.ONE
+        assert ex.delta(2, 1) == ex.delta(1, 2)
+        assert ex.eps(1, 1, 2).is_zero
+        assert ex.eps(2, 1, 3) == -ex.ONE
+
+
 @st.composite
 def carved_exprs(draw):
     """A sum of up to three carved terms with small rational coefficients."""

@@ -1,13 +1,22 @@
 """Inverse variational problem: conditions, potentials, Lagrangian, duality."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import embracket
 from embracket import expr as ex
+from embracket import helmholtz as hh
 from embracket.bracket import div_b_expression, faraday_expression, lorentz_force
-from embracket.dsl import parse, parse_vector_field
+from embracket.dsl import parse, parse_components, parse_vector_field
 from embracket.expr import (
     C_SYM,
     E_SYM,
@@ -42,7 +51,13 @@ from embracket.helmholtz import (
     scalar_potential,
 )
 
-from conftest import delta_value, eps_value, random_polynomial
+from conftest import (
+    delta_value,
+    eps_value,
+    random_polynomial,
+    reference_euler_lagrange_roundtrip,
+    reference_helmholtz_check,
+)
 
 ZERO_FIELD = VectorField.zero()
 
@@ -333,6 +348,118 @@ class TestEulerLagrangeRoundtrip:
             lag = reconstruct_lagrangian(force)
             residual = euler_lagrange_roundtrip(lag, force)
             assert all(r.is_zero for r in residual)
+
+
+_POSITION_FACTORS = (ex.q(1), ex.q(2), ex.q(3), ex.t(), E_SYM, M_SYM, C_SYM, 1 / C_SYM)
+_VELOCITIES = (ex.v(1), ex.v(2), ex.v(3))
+
+
+@st.composite
+def phase_polynomials(draw, max_v_degree):
+    """An index-free phase-space polynomial of velocity degree at most max_v_degree."""
+    total = ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        mono = ex.rational(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 3)))
+        for factor in draw(st.lists(st.sampled_from(_POSITION_FACTORS), max_size=3)):
+            mono = mono * factor
+        for factor in draw(st.lists(st.sampled_from(_VELOCITIES), max_size=max_v_degree)):
+            mono = mono * factor
+        total = total + mono
+    return total
+
+
+@st.composite
+def index_free_forces(draw):
+    """Affine or nonlinear in v, zero components allowed, with or without a
+    conservative potential; or a Lorentz force from random potentials."""
+    potential = draw(st.one_of(st.none(), phase_polynomials(0)))
+    if draw(st.booleans()):
+        comps = tuple(draw(phase_polynomials(draw(st.sampled_from([1, 1, 2])))) for _ in range(3))
+        return ForceLaw(comps, potential)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    force = ForceLaw.lorentz(*fields_from_potentials(*random_potential_pair(rng)))
+    return ForceLaw(force.components, potential)
+
+
+class TestHelmholtzJet:
+    """The conditions and the round trip read one derivative jet and take
+    the flow derivative by the chain rule over concrete k."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_free_forces())
+    def test_check_matches_reference(self, force):
+        got, want = helmholtz_check(force), reference_helmholtz_check(force)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert [c.residuals for c in got.conditions] == [c.residuals for c in want.conditions]
+
+    @settings(max_examples=100, deadline=None)
+    @given(index_free_forces(), phase_polynomials(2))
+    def test_roundtrip_matches_reference(self, force, lagrangian):
+        got = euler_lagrange_roundtrip(lagrangian, force)
+        assert got == reference_euler_lagrange_roundtrip(lagrangian, force)
+        if helmholtz_check(force).passed:
+            lag = reconstruct_lagrangian(force)
+            got = euler_lagrange_roundtrip(lag, force)
+            assert got == reference_euler_lagrange_roundtrip(lag, force)
+            assert all(r.is_zero for r in got)
+
+    def test_opaque_ansatz_mixed_residual(self):
+        """-(e/c) eps_ijk (dB_k/dt + c (curl E)_k + v_k div B), fully concrete."""
+        mixed = helmholtz_check(ForceLaw(lorentz_force())).condition("mixed-gradient")
+        e_comp = lambda k: ex.field_component("E", k)  # noqa: E731
+        b_comp = lambda k: ex.field_component("B", k)  # noqa: E731
+        div_b = ex._sum(partial(b_comp(l), ("q", l)) for l in (1, 2, 3))
+        curl_e = [
+            ex._sum(ex.eps(k, a, b) * partial(e_comp(b), ("q", a)) for a, b in itertools.product((1, 2, 3), repeat=2))
+            for k in (1, 2, 3)
+        ]
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            expected = -(E_SYM / C_SYM) * ex._sum(
+                ex.eps(i, j, k) * (partial(b_comp(k), ("t", None)) + C_SYM * curl_e[k - 1] + ex.v(k) * div_b)
+                for k in (1, 2, 3)
+            )
+            assert mixed.residual_at(i, j) == expected
+
+    def test_partial_counts(self, monkeypatch):
+        force = ForceLaw(parse_components("e*q1 + e/c*v2*q1;-e/c*v1*q1;0", "phase-space"))
+        calls = {"partial": 0, "total_time_derivative": 0, "_velocity_gradient": 0}
+
+        def counted(name, fn):
+            def shim(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(hh, name, shim, raising=False)
+
+        counted("partial", hh.partial)
+        counted("total_time_derivative", ex.total_time_derivative)
+        counted("_velocity_gradient", hh._velocity_gradient)
+        helmholtz_check(force)
+        assert calls["partial"] <= 90
+        assert calls["total_time_derivative"] == 0
+        calls["_velocity_gradient"] = 0
+        reconstruct_lagrangian(force)
+        assert calls["_velocity_gradient"] == 1
+
+
+class TestChecksUnderOptimize:
+    """The internal consistency checks raise AssertionError under python -O too."""
+
+    def test_wrong_curl_raises(self):
+        code = (
+            "import embracket.helmholtz as hh\n"
+            "from embracket.dsl import parse_vector_field\n"
+            "assert not __debug__\n"
+            "hh.curl = lambda vf: hh.VectorField.zero()\n"
+            "try:\n"
+            "    hh.poincare_vector_potential(parse_vector_field('0;0;1'))\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n"
+        )
+        src = str(Path(embracket.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDuality:
