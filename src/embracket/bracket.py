@@ -20,11 +20,14 @@ derivation chain extracts.
 
 Each derivation returns a :class:`DerivationReport` whose steps name the
 rule applied and carry canonical input/output strings, so the whole chain
-can be re-run and compared step by step.
+can be re-run and compared step by step.  The chain's field-free steps are
+derived once per process; concrete fields enter only through
+:func:`bind_constraint`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,13 +249,12 @@ class DerivationReport:
 
 
 def reverify(report: DerivationReport) -> bool:
-    """Re-run the derivation that produced a report and compare step by step."""
+    """Re-run the derivation that produced a report and compare its steps,
+    its constraints with their verdicts, and its notes."""
     fresh = _GENERATORS[report.generator](**report.params)
-    same_steps = fresh.steps == report.steps
-    same_constraints = [
-        (c.name, c.expr) for c in fresh.constraints
-    ] == [(c.name, c.expr) for c in report.constraints]
-    return same_steps and same_constraints
+    return (fresh.steps, fresh.constraints, fresh.notes) == (
+        report.steps, report.constraints, report.notes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +524,10 @@ def bind_constraint(constraint: Constraint, bindings: dict) -> Constraint:
     return Constraint(constraint.name, constraint.expr, verdict)
 
 
-def run_chain(
-    field_E: Optional[VectorField] = None,
-    field_B: Optional[VectorField] = None,
-) -> DerivationReport:
-    """Execute the whole derivation chain on the velocity-affine ansatz.
-
-    Emits the magnetic-divergence and induction constraints; when concrete
-    fields are supplied every constraint gets a pass/fail verdict.
-    """
-    params: dict = {}
-    if field_E is not None:
-        params["field_E"] = str(field_E)
-    if field_B is not None:
-        params["field_B"] = str(field_B)
-    report = DerivationReport("chain", params)
+@functools.cache
+def _symbolic_chain() -> tuple[tuple[DerivationStep, ...], tuple, tuple[Constraint, ...]]:
+    """The field-free chain's steps, note items and unbound constraints, all immutable."""
+    report = DerivationReport("chain")
 
     ansatz = lorentz_force()
     anti = derive_qF_antisymmetry(ansatz)
@@ -570,15 +561,33 @@ def run_chain(
     far_rep = derive_faraday(use_divB=True)
     report.steps.extend(far_rep.steps)
     report.notes.update(far_rep.notes)
-
     constraints = div_rep.constraints + far_rep.constraints
+    return tuple(report.steps), tuple(report.notes.items()), tuple(constraints)
+
+
+def run_chain(
+    field_E: Optional[VectorField] = None,
+    field_B: Optional[VectorField] = None,
+) -> DerivationReport:
+    """Execute the whole derivation chain on the velocity-affine ansatz.
+
+    Emits the magnetic-divergence and induction constraints; when concrete
+    fields are supplied every constraint gets a pass/fail verdict.  The
+    field-free steps come from :func:`_symbolic_chain`, derived once per
+    process; the fields enter only through :func:`bind_constraint`, and each
+    call returns a fresh report.
+    """
+    steps, notes, constraints = _symbolic_chain()
+    params: dict = {}
     bindings: dict = {}
     if field_E is not None:
+        params["field_E"] = str(field_E)
         bindings["E"] = field_E
     if field_B is not None:
+        params["field_B"] = str(field_B)
         bindings["B"] = field_B
-    report.constraints = [bind_constraint(c, bindings) for c in constraints]
-    return report
+    bound = [bind_constraint(c, bindings) for c in constraints]
+    return DerivationReport("chain", params, list(steps), bound, dict(notes))
 
 
 def _chain_from_params(field_E: str | None = None, field_B: str | None = None):

@@ -611,6 +611,13 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for const, rest in ((self, other), (other, self)):
+            if len(const.terms) == 1 and not const.terms[0][2]:
+                # a constant monomial scales every coefficient and shifts every
+                # power alike: term order and distinctness, so canonical form, hold
+                k, d, _ = const.terms[0]
+                scaled = ((k * c, tuple(x + y for x, y in zip(p, d)), a) for c, p, a in rest.terms)
+                return Expr(tuple(scaled), _canonical=True)
         return Expr(
             tuple((c, p, aa + ab) for c, p, aa, ab in _term_pairs(self, other))
         )

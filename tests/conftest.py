@@ -22,6 +22,7 @@ import pytest
 from embracket import expr as ex
 from embracket import helmholtz as hh
 from embracket import numeric as nm
+from embracket.bracket import _symbolic_chain
 from embracket.dsl import CONTEXTS, ParseError
 from embracket.expr import Expr
 
@@ -1146,3 +1147,13 @@ def random_polynomial(
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def cold_chain():
+    """An empty field-free chain cache, emptied again afterwards: a test that
+    patches what the chain reads neither sees an earlier derivation nor
+    leaves its own to later tests."""
+    _symbolic_chain.cache_clear()
+    yield
+    _symbolic_chain.cache_clear()

@@ -1,5 +1,6 @@
 """Bracket engine: rule table, axioms, and the certified derivation chain."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from embracket import expr as ex
 from embracket.bracket import (
+    Constraint,
     bracket,
     derive_divB,
     derive_faraday,
@@ -506,14 +508,15 @@ class TestRunChain:
             assert set(constraint) >= {"expr", "verdict"}
         assert blob["pass"] is True
 
-    def test_qF_matrix_bracketed_twice(self, monkeypatch):
+    def test_qF_matrix_bracketed_twice(self, cold_chain, monkeypatch):
         # once in the qF-antisymmetry steps, once for the consistency and
-        # dual-form steps
+        # dual-form steps; a warm chain brackets nothing
         positions = {ex.q(i) for i in (1, 2, 3)}
         ansatz = set(lorentz_force())
-        pairs = []
+        pairs, calls = [], []
 
         def counted(a, b):
+            calls.append((a, b))
             if a in positions and b in ansatz:
                 pairs.append((a, b))
             return bracket(a, b)
@@ -522,8 +525,69 @@ class TestRunChain:
         monkeypatch.setattr(importlib.import_module("embracket.bracket"), "bracket", counted)
         assert run_chain().passed
         assert len(pairs) == 18
+        calls.clear()
+        assert run_chain().passed
+        assert not run_chain(ex.VectorField.zero(), parse_vector_field("x1;0;0")).passed
+        assert len(calls) == 0
 
     def test_expressions_reparse(self):
         report = run_chain()
         for constraint in report.constraints:
             assert parse(str(constraint.expr), "extended") == constraint.expr
+
+
+def _bound_chain():
+    return run_chain(ex.VectorField.zero(), parse_vector_field("x1;0;0"))
+
+
+def _qf_report():
+    return derive_qF_antisymmetry((parse("v1^2"), ZERO, ZERO))
+
+
+class TestChainCache:
+    """The field-free chain is derived once per process; each report is fresh."""
+
+    def test_mutating_a_report_leaves_the_next_unchanged(self):
+        want = run_chain().to_json_dict()
+        for report in (run_chain(), _bound_chain()):
+            report.steps[0] = dataclasses.replace(report.steps[0], output="0", ok=False)
+            report.steps.reverse()
+            report.notes["velocity-jacobi-multiple"] = "0"
+            report.constraints[0] = Constraint("magnetic-divergence", ex.ONE, False)
+            report.constraints.pop()
+            assert run_chain().to_json_dict() == want
+
+    def test_bound_constraints_do_not_stick(self):
+        uniform = run_chain(ex.VectorField.zero(), parse_vector_field("0;0;1"))
+        assert _bound_chain().constraints[0].verdict is False
+        assert all(c.verdict is None for c in run_chain().constraints)
+        assert all(c.verdict is True for c in uniform.constraints)
+
+
+class TestReverify:
+    """reverify rejects a report that differs from the derivation's output."""
+
+    @pytest.mark.parametrize("make", [run_chain, _bound_chain, _qf_report])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_altered_step_output(self, make, where):
+        report = make()
+        assert reverify(report)
+        step = report.steps[where]
+        report.steps[where] = dataclasses.replace(step, output=step.output + " + 1")
+        assert not reverify(report)
+
+    @pytest.mark.parametrize("make", [run_chain, _bound_chain])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_altered_constraint_expr(self, make, where):
+        report = make()
+        c = report.constraints[where]
+        report.constraints[where] = dataclasses.replace(c, expr=c.expr + ex.ONE)
+        assert not reverify(report)
+
+    def test_altered_verdict_or_note(self):
+        report = _bound_chain()
+        report.constraints = [dataclasses.replace(c, verdict=True) for c in report.constraints]
+        assert report.passed and not reverify(report)
+        report = _bound_chain()
+        report.notes["divergence-coupling"] = "0"
+        assert not reverify(report)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from embracket import expr as ex
 from embracket import helmholtz as hh
+from embracket.bracket import _symbolic_chain, run_chain
 from embracket.cli import main
+from embracket.dsl import parse_vector_field
 
 
 def run(capsys, *argv):
@@ -466,103 +468,122 @@ class TestDeterminism:
         json.loads(out1)  # stdout is one valid JSON document
 
 
+def report_digest(capsys, argv) -> str:
+    code, stdout, _ = run(capsys, *argv)
+    return hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest()
+
+
+# the (argv, digest) pairs that TestGoldenReports pins
+GOLDEN_REPORTS = [
+    (
+        ("derive", "--json"),
+        "3676674204e047f88eabf8e28396e6b8166b0fb37d05479d33afb14762cfaebe",
+    ),
+    (
+        ("derive", "--field-B", "0;0;1", "--field-E", "0;0;0", "--json"),
+        "497720b683dff6b6b46b9f0c61f1853c95cc6f0146bfef8e7d3ec48488643a22",
+    ),
+    (
+        ("derive", "--field-B", "x1;0;0", "--json"),
+        "f7e05b391075823e76d0ba40ec91fb5901842ff777f5c67e1bbe36ea9487cc68",
+    ),
+    (
+        ("derive", "--field-B", "x4;0;0", "--json"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    (
+        ("check", "--force", "e/c*v2;-e/c*v1;0", "--json"),
+        "c0f1435231f113055d5007e11521cec6116ab162a475da49c141d8c618548cd5",
+    ),
+    (
+        ("check", "--force", "-v1;-v2;-v3", "--json"),
+        "ab6c38c946c07b30846d4e0a13b286a686d2da1bb99bdffa097bcc5a6c501248",
+    ),
+    (
+        ("check", "--force", "v1^2;0;0", "--json"),
+        "42d0418046f45215449d18ea387a421d94b5452ebf2196ad0a87bd79619aae9c",
+    ),
+    (
+        ("check", "--force", "v4;0;0", "--json"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    (
+        ("check", "--force", "(q1+q2+q3+v1+v2+v3+t)^4;0;0", "--json"),
+        "f595a2002c443fcf99ee5edf8c3bfe33fc1fb52ade42b57d2e395efd4b097700",
+    ),
+    (
+        ("reconstruct", "--force", "e/c*v2;-e/c*v1;0", "--json"),
+        "d6cdde16a57d3a4a5320a70672e976a9af573ce970eb5254c2f47bd545010600",
+    ),
+    (
+        (
+            "reconstruct", "--force",
+            "-e*q2 + e/c*(v2*q1 - v3*q3);-e*q1 + e/c*(v3*q2 - v1*q1);e/c*(v1*q3 - v2*q2)",
+            "--json",
+        ),
+        "866be4a66a05739c62e68c5c4bfb52ad3afeda2f53804079419839245eb9a322",
+    ),
+    (
+        ("reconstruct", "--force", "-v1;-v2;-v3", "--json"),
+        "8e52261328998d27dcac9b527de32488510d4af7a8611e9c8ec188a8c1eeadbf",
+    ),
+    (
+        ("reconstruct", "--force", "0;e/c*v3*q1;-e/c*v2*q1", "--json"),
+        "adc19b3a119ebf42e620c66c290c86b5ec88d77dde999e97a62ce97c2aa5f0ab",
+    ),
+    (
+        ("reconstruct", "--force", "v1+;0;0", "--json"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    (
+        ("duality", "--field-E", "0;0;0", "--field-B", "0;0;1", "--json"),
+        "0b34af98ce0832a855648bfa1903cbb21262a8560ccb3611a64a5d3bc80744ea",
+    ),
+    (
+        ("duality", "--field-B", "0;0;1", "--json"),
+        "0b34af98ce0832a855648bfa1903cbb21262a8560ccb3611a64a5d3bc80744ea",
+    ),
+    (
+        ("duality", "--field-B", "x4;0;0", "--json"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    (
+        ("duality", "--field-E", "x2*t;x3;x1", "--field-B", "x2;x3;x1", "--json"),
+        "d34f34692687a4b295304b5a30bb24ec8d2bc8b9da87659ee3593eb05858ccad",
+    ),
+    (
+        (
+            "reconstruct", "--force", "e/c*v2;-e/c*v1;0",
+            "--potential-U", "x1^2+x2*x3", "--json",
+        ),
+        "a4ef87697d599e4368946ee6ef9c301847da040778694738e622654989f663f5",
+    ),
+]
+
+
 class TestGoldenReports:
     """SHA-256 of the exit code and --json stdout of symbolic reports, pinned
     from a known-good build: a change to any byte of them fails here.  simulate
     and grid print floats that can differ across numpy/BLAS builds and are
     left out."""
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("derive", "--json"),
-                "3676674204e047f88eabf8e28396e6b8166b0fb37d05479d33afb14762cfaebe",
-            ),
-            (
-                ("derive", "--field-B", "0;0;1", "--field-E", "0;0;0", "--json"),
-                "497720b683dff6b6b46b9f0c61f1853c95cc6f0146bfef8e7d3ec48488643a22",
-            ),
-            (
-                ("derive", "--field-B", "x1;0;0", "--json"),
-                "f7e05b391075823e76d0ba40ec91fb5901842ff777f5c67e1bbe36ea9487cc68",
-            ),
-            (
-                ("derive", "--field-B", "x4;0;0", "--json"),
-                "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-            ),
-            (
-                ("check", "--force", "e/c*v2;-e/c*v1;0", "--json"),
-                "c0f1435231f113055d5007e11521cec6116ab162a475da49c141d8c618548cd5",
-            ),
-            (
-                ("check", "--force", "-v1;-v2;-v3", "--json"),
-                "ab6c38c946c07b30846d4e0a13b286a686d2da1bb99bdffa097bcc5a6c501248",
-            ),
-            (
-                ("check", "--force", "v1^2;0;0", "--json"),
-                "42d0418046f45215449d18ea387a421d94b5452ebf2196ad0a87bd79619aae9c",
-            ),
-            (
-                ("check", "--force", "v4;0;0", "--json"),
-                "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-            ),
-            (
-                ("check", "--force", "(q1+q2+q3+v1+v2+v3+t)^4;0;0", "--json"),
-                "f595a2002c443fcf99ee5edf8c3bfe33fc1fb52ade42b57d2e395efd4b097700",
-            ),
-            (
-                ("reconstruct", "--force", "e/c*v2;-e/c*v1;0", "--json"),
-                "d6cdde16a57d3a4a5320a70672e976a9af573ce970eb5254c2f47bd545010600",
-            ),
-            (
-                (
-                    "reconstruct", "--force",
-                    "-e*q2 + e/c*(v2*q1 - v3*q3);-e*q1 + e/c*(v3*q2 - v1*q1);e/c*(v1*q3 - v2*q2)",
-                    "--json",
-                ),
-                "866be4a66a05739c62e68c5c4bfb52ad3afeda2f53804079419839245eb9a322",
-            ),
-            (
-                ("reconstruct", "--force", "-v1;-v2;-v3", "--json"),
-                "8e52261328998d27dcac9b527de32488510d4af7a8611e9c8ec188a8c1eeadbf",
-            ),
-            (
-                ("reconstruct", "--force", "0;e/c*v3*q1;-e/c*v2*q1", "--json"),
-                "adc19b3a119ebf42e620c66c290c86b5ec88d77dde999e97a62ce97c2aa5f0ab",
-            ),
-            (
-                ("reconstruct", "--force", "v1+;0;0", "--json"),
-                "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-            ),
-            (
-                ("duality", "--field-E", "0;0;0", "--field-B", "0;0;1", "--json"),
-                "0b34af98ce0832a855648bfa1903cbb21262a8560ccb3611a64a5d3bc80744ea",
-            ),
-            (
-                ("duality", "--field-B", "0;0;1", "--json"),
-                "0b34af98ce0832a855648bfa1903cbb21262a8560ccb3611a64a5d3bc80744ea",
-            ),
-            (
-                ("duality", "--field-B", "x4;0;0", "--json"),
-                "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-            ),
-            (
-                ("duality", "--field-E", "x2*t;x3;x1", "--field-B", "x2;x3;x1", "--json"),
-                "d34f34692687a4b295304b5a30bb24ec8d2bc8b9da87659ee3593eb05858ccad",
-            ),
-            (
-                (
-                    "reconstruct", "--force", "e/c*v2;-e/c*v1;0",
-                    "--potential-U", "x1^2+x2*x3", "--json",
-                ),
-                "a4ef87697d599e4368946ee6ef9c301847da040778694738e622654989f663f5",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS)
     def test_report_bytes(self, capsys, argv, digest):
-        code, stdout, _ = run(capsys, *argv)
-        assert hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest() == digest
+        assert report_digest(capsys, argv) == digest
+
+
+class TestDeriveCache:
+    """derive prints the golden bytes with the field-free chain derived afresh
+    (cache cleared) and with it reused from a run on other fields."""
+
+    @pytest.mark.parametrize(
+        "argv, digest", [(argv, digest) for argv, digest in GOLDEN_REPORTS if argv[0] == "derive"]
+    )
+    def test_cold_and_warm(self, capsys, argv, digest):
+        _symbolic_chain.cache_clear()
+        assert report_digest(capsys, argv) == digest
+        run_chain(ex.VectorField.zero(), parse_vector_field("x2*t;x3;x1"))
+        assert report_digest(capsys, argv) == digest
 
 
 # values the commands accept, repeated so that most draws reach the checks,

@@ -647,7 +647,7 @@ class TestIndexFreeTerms:
     def test_fast_path_matches_reference(self, raw):
         assert ex._canonicalize_terms(raw) == reference_canonicalize_terms(raw)
 
-    def test_index_free_parses_skip_rules_and_relabeling(self, monkeypatch):
+    def test_index_free_parses_skip_rules_and_relabeling(self, cold_chain, monkeypatch):
         calls = {"canonical": 0, "rules": 0}
 
         def counted(fn, key):
@@ -772,7 +772,7 @@ class TestTermPairs:
         qv = sum((ex.q(n) * ex.v(n) for n in (1, 2, 3)), start=ZERO)
         assert ex.expand_dummies(ex.instantiate_indices(product, {"i": 2})) == ex.q(2) * qv
 
-    def test_one_named_side_is_not_renamed(self, monkeypatch):
+    def test_one_named_side_is_not_renamed(self, cold_chain, monkeypatch):
         a = parse("q1+t^2")
         b = parse("eps(i,j,k)*v[j]*B[k]", "extended")
         expected = _product_through(reference_term_pairs, a, b).terms
@@ -784,6 +784,25 @@ class TestTermPairs:
         assert (a * b).terms == expected
         assert (b * a).terms == expected
         assert renames == []
+
+
+@st.composite
+def constant_monomials(draw):
+    """A nonzero rational times powers of e, m and c."""
+    coeff = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+    return ex.Expr(((coeff, tuple(draw(st.integers(-2, 2)) for _ in "emc"), ()),))
+
+
+class TestConstantMonomialProducts:
+    """A product with a constant monomial scales the other factor's terms in
+    place; it must equal the general product path term for term."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(any_exprs(), constant_monomials(), st.just(ZERO)), constant_monomials())
+    def test_matches_general_path(self, a, k):
+        assert (a * k).terms == _product_through(reference_term_pairs, a, k).terms
+        assert (k * a).terms == _product_through(reference_term_pairs, k, a).terms
+        assert (a / k).terms == _product_through(reference_term_pairs, a, k._invert()).terms
 
 
 class TestArithmetic:
