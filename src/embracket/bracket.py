@@ -11,8 +11,8 @@ The bracket is defined by a small rule table on atoms
 
 extended to arbitrary polynomial expressions in q, v with field-component
 coefficients by bilinearity and the Leibniz (derivation) property in each
-argument.  On two atom products that extension is one flat sum over atom
-pairs, {x, y} times all the other atoms, canonicalized once; nothing is
+argument.  On two atom products that extension is applied one atom at a
+time, each partial product canonicalized as it is formed; nothing is
 cached, so :func:`bracket` is a pure function.  Antisymmetry and Leibniz
 then hold identically; the Jacobi identity holds only up to expressions in
 the field derivatives, and those residuals are exactly the constraints the
@@ -91,25 +91,41 @@ def _bracket_atoms(a, b) -> list:
     return []  # constants, {q, q}, {q, f} and two (position, t)-functions
 
 
+def _bracket_mono(atoms_a: tuple, atoms_b: tuple) -> Expr:
+    """{A, B} for two atom products by the Leibniz rule, one atom at a time:
+    {A, b0 B'} = b0 {A, B'} + {A, b0} B', then likewise in A.
+
+    Every partial product is canonicalized as it is formed, so the
+    delta/epsilon rewrites meet the atoms in the same order for every
+    caller and one bracket has one canonical form.
+    """
+    if len(atoms_b) > 1:
+        b0, rest = atoms_b[0], atoms_b[1:]
+        return ex._atom_expr(b0) * _bracket_mono(atoms_a, rest) + _bracket_mono(
+            atoms_a, (b0,)
+        ) * ex._atom_expr(*rest)
+    if len(atoms_a) > 1:
+        a0, rest = atoms_a[0], atoms_a[1:]
+        return ex._atom_expr(a0) * _bracket_mono(rest, atoms_b) + _bracket_mono(
+            (a0,), atoms_b
+        ) * ex._atom_expr(*rest)
+    return ex.Expr(tuple(_bracket_atoms(atoms_a[0], atoms_b[0])))
+
+
 def bracket(a: Expr, b: Expr) -> Expr:
     """Poisson bracket of two phase-space expressions, fully reduced.
 
     Bilinear in both arguments; shared free indices contract across the
     arguments per the Einstein convention, while each argument's internal
-    summed indices are kept private.  By the Leibniz rule the bracket of two
-    atom products is the sum, over every atom x of the first and y of the
-    second, of {x, y} times all the other atoms; the raw terms of every pair
-    are canonicalized once.
+    summed indices are kept private.  The bracket of two atom products
+    follows the Leibniz rule atom by atom (:func:`_bracket_mono`).
     """
-    raw = []
+    pieces = []
     for coeff, cpow, atoms_a, atoms_b in ex._term_pairs(a, b):
-        for i, x in enumerate(atoms_a):
-            for j, y in enumerate(atoms_b):
-                rest = atoms_a[:i] + atoms_a[i + 1:] + atoms_b[:j] + atoms_b[j + 1:]
-                for c, p, atoms in _bracket_atoms(x, y):
-                    power = tuple(u + w for u, w in zip(cpow, p))
-                    raw.append((coeff * c, power, atoms + rest))
-    return ex.Expr(tuple(raw))
+        if atoms_a and atoms_b:
+            unit = ex.Expr(((coeff, cpow, ()),), _canonical=True)
+            pieces.append(unit * _bracket_mono(atoms_a, atoms_b))
+    return ex._sum(pieces)
 
 
 def jacobi_residual(a: Expr, b: Expr, c: Expr) -> Expr:

@@ -201,8 +201,8 @@ def _free_beside_concrete(expr) -> bool:
 
 
 class TestFlatBracket:
-    """The flat Leibniz sum against the recursive, memoized bracket it
-    replaced and against the closed-form biderivation."""
+    """The bracket against the recursive, memoized bracket kept as a
+    reference and against the closed-form biderivation."""
 
     @settings(max_examples=150, deadline=None)
     @given(bracket_operands())
@@ -217,6 +217,21 @@ class TestFlatBracket:
         assert same_components(got, biderivation(a, b))
         if not (_free_beside_concrete(got) or _free_beside_concrete(want)):
             assert got == want
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("q[i]*q[p]*v[j]", "-delta(1,j)*eps(i,k,l)*v[k]*d(E[l],q1) + q[i]*q[j]"),
+            ("q[i]*q[j]*q[p]*v1", "-delta(1,i)*eps(j,k,l)*v[k]*d(E[l],q1) + q[i]*q[j]"),
+        ],
+    )
+    def test_delta_meets_epsilon_pair(self, a, b):
+        # a delta makes an epsilon slot concrete while the epsilon pair it
+        # sits in shares a summed index: summing every raw term at once
+        # expanded B[i]*d(E[i],q1) where the Leibniz order keeps it summed
+        a, b = parse(a, "extended"), parse(b, "extended")
+        assert bracket(a, b) == reference_bracket(a, b)
+        assert same_components(bracket(a, b), biderivation(a, b))
 
     def test_shared_free_and_private_summed_indices(self):
         # shared free names contract, summed names stay private per argument
