@@ -9,10 +9,10 @@ A single particle is stepped in Python floats, not numpy 3-vectors: each
 field is compiled once into a function of (x1, x2, x3, t) whose terms carry
 e, m and c folded into their coefficients, multiplied in the order
 ``CompiledExpr`` uses, and the cross products are written out by component
-as ``np.cross`` computes them.  |t|^2 in the Boris rotation stays
-``np.dot``: the BLAS kernel may fuse its multiply-adds, a plain sum does
-not, and the two differ in the last bit often enough to change trajectories.
-Kept, every trajectory is bit-identical to the numpy stepping.
+as ``np.cross`` computes them.  |t|^2 in the Boris rotation is the
+left-to-right sum of the three squares, so no BLAS kernel decides the last
+bit of a trajectory.  Each state is one row (t, x1, x2, x3, v1, v2, v3) of a
+table allocated before the first step.
 
 Reductions are max and an exact sum of squares, so results do not depend on
 evaluation order or on how the values are split into pieces.  A finite
@@ -110,9 +110,8 @@ class Trajectory:
 
     def csv_lines(self):
         yield "t,x1,x2,x3,v1,v2,v3"
-        for ti, r, v in zip(self.times, self.positions, self.velocities):
-            vals = [ti, r[0], r[1], r[2], v[0], v[1], v[2]]
-            yield ",".join(f"{val:.17g}" for val in vals)
+        for row in np.column_stack((self.times, self.positions, self.velocities)).tolist():
+            yield ",".join(f"{val:.17g}" for val in row)
 
 
 # Upper bounds on the problem size, checked before anything is allocated.  A
@@ -398,8 +397,7 @@ def _boris_step(r, v, t, h, e_at, b_at, consts: tuple[float, float]):
     t1, t2, t3 = scale * b1, scale * b2, scale * b3
     p1, p2, p3 = m1 + (m2 * t3 - m3 * t2), m2 + (m3 * t1 - m1 * t3), m3 + (m1 * t2 - m2 * t1)
     # s = 2 t / (1 + |t|^2); v+ = v- + v' x s, then the second half kick
-    tvec = np.array((t1, t2, t3))
-    norm = 1.0 + float(np.dot(tvec, tvec))
+    norm = 1.0 + (t1 * t1 + t2 * t2 + t3 * t3)
     s1, s2, s3 = 2.0 * t1 / norm, 2.0 * t2 / norm, 2.0 * t3 / norm
     n1 = m1 + (p2 * s3 - p3 * s2) + half_acc * e1
     n2 = m2 + (p3 * s1 - p1 * s3) + half_acc * e2
@@ -487,24 +485,17 @@ def integrate(
     stepper, constants = _STEPPERS[method]
     consts = constants(h, bindings)
     e_at, b_at = (_compile_field(vf, bindings) for vf in fields)
-    times = np.empty(steps + 1)
-    positions = np.empty((steps + 1, 3))
-    velocities = np.empty((steps + 1, 3))
-    r, v = state.r.tolist(), state.v.tolist()
-    times[0], positions[0], velocities[0] = state.t, r, v
-    # overflow is not warned about but recorded below as the first bad state
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            r, v = stepper(r, v, state.t + (k - 1) * h, h, e_at, b_at, consts)
-            # uniform grid, no accumulated rounding
-            times[k], positions[k], velocities[k] = state.t + k * h, r, v
-    finite = (
-        np.isfinite(times)
-        & np.isfinite(positions).all(axis=1)
-        & np.isfinite(velocities).all(axis=1)
-    )
+    # one row (t, x1, x2, x3, v1, v2, v3) per state; Python floats overflow to
+    # inf without a warning, recorded below as the first bad state
+    table = np.empty((steps + 1, 7))
+    t0, r, v = float(state.t), state.r.tolist(), state.v.tolist()
+    table[0] = (t0, *r, *v)
+    for k in range(1, steps + 1):
+        r, v = stepper(r, v, t0 + (k - 1) * h, h, e_at, b_at, consts)
+        table[k] = (t0 + k * h, *r, *v)  # uniform grid, no accumulated rounding
+    finite = np.isfinite(table).all(axis=1)
     first_nonfinite = None if finite.all() else int(np.argmin(finite))
-    return Trajectory(times, positions, velocities, h, method, first_nonfinite)
+    return Trajectory(table[:, 0], table[:, 1:4], table[:, 4:], h, method, first_nonfinite)
 
 
 def measured_rotation_frequency(traj: Trajectory, axis: Sequence[float] = (0, 0, 1)) -> float:
@@ -572,7 +563,8 @@ def energy_check(
         if pot is not None and pot.has_kind("t"):
             raise ValueError(f"{name} must be static for the energy check")
     pos = tuple(traj.positions[:, k] for k in range(3))
-    kinetic = 0.5 * bindings.m * np.sum(traj.velocities**2, axis=1)
+    v1, v2, v3 = (traj.velocities[:, k] for k in range(3))
+    kinetic = 0.5 * bindings.m * (v1 * v1 + v2 * v2 + v3 * v3)
     pots = [scalar_pot] if conservative is None else [scalar_pot, conservative]
     sampled = _samples(_tables(pots, bindings), (len(traj),), (*pos, None, None, None, traj.times))
     h_series = kinetic + bindings.e * sampled[0]

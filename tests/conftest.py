@@ -613,8 +613,9 @@ def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
 
     Each field is evaluated per call with the term loop of
     ``CompiledExpr.__call__`` as it was (constants raised to their powers on
-    every call), the cross products go through ``np.cross``; returns a
-    ``numeric.Trajectory``.
+    every call), the cross products go through ``np.cross``, |t|^2 is the
+    left-to-right sum of the squares, as in ``numeric._boris_step``; returns
+    a ``numeric.Trajectory``.
     """
 
     def evaluate_table(table, position, velocity, time, bindings):
@@ -656,7 +657,8 @@ def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
         v_minus = v + half_acc * e_val
         tvec = (bindings.e * h / (2.0 * bindings.m * bindings.c)) * b_val
         v_prime = v_minus + np.cross(v_minus, tvec)
-        svec = 2.0 * tvec / (1.0 + float(np.dot(tvec, tvec)))
+        t1, t2, t3 = tvec.tolist()
+        svec = 2.0 * tvec / (1.0 + (t1 * t1 + t2 * t2 + t3 * t3))
         v_plus = v_minus + np.cross(v_prime, svec)
         v_new = v_plus + half_acc * e_val
         return r_half + 0.5 * h * v_new, v_new, t + h

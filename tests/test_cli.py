@@ -563,13 +563,65 @@ GOLDEN_REPORTS = [
 
 class TestGoldenReports:
     """SHA-256 of the exit code and --json stdout of symbolic reports, pinned
-    from a known-good build: a change to any byte of them fails here.  simulate
-    and grid print floats that can differ across numpy/BLAS builds and are
-    left out."""
+    from a known-good build: a change to any byte of them fails here.  The
+    numeric reports are pinned by TestGoldenNumericReports."""
 
     @pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS)
     def test_report_bytes(self, capsys, argv, digest):
         assert report_digest(capsys, argv) == digest
+
+
+_STATIC = ("--field-B", "x2;x3;x1", "--field-E", "x1;x2;-2*x3")
+# dB/dt = (0, 0, 1) is balanced by curl E = (0, 0, -1/c)
+_TIME_DEPENDENT = ("--field-B", "x2;x3;x1+t", "--field-E", "0;-x1/c;0")
+_START = ("--x0", "0.1,0.2,0.3", "--v0", "1,0.5,0.25", "--dt", "0.01", "--steps", "200")
+_GRID = ("--field-B", "x2^2*x3;x3*x1;x1^3", "--field-E", "x1*t;x2^2;0", "--json")
+
+# the (argv, digest) pairs that TestGoldenNumericReports pins
+GOLDEN_NUMERIC_REPORTS = [
+    (
+        ("simulate", *_STATIC, *_START, "--method", "boris"),
+        "dc53bd852c35f1d19ee845745ab2735e3869c27135a68d9de3e73a26d1dd588a",
+    ),
+    (
+        ("simulate", *_STATIC, *_START, "--method", "rk4"),
+        "f833723d0f2d7127bbb5c14effa76eb3c721a5ced01aeffdc805a12e1c8394ea",
+    ),
+    (
+        ("simulate", *_TIME_DEPENDENT, *_START, "--method", "boris"),
+        "d52dac5030c82830b5dd97cd0ff4f0de0281bba8de7661ec4dba8d8fd8b872b4",
+    ),
+    (
+        ("simulate", *_TIME_DEPENDENT, *_START, "--method", "rk4"),
+        "5b6cdb06c93d1d6173715dea7728fc4870a7a358a7f04f945e0d45e3506fe2a6",
+    ),
+    (
+        ("grid", *_GRID, "--n", "9"),
+        "0e1ef599d7cad4e682820702704247e74b7a3580c92831dafcefa4b82d87df43",
+    ),
+    (
+        ("grid", *_GRID, "--n", "17"),
+        "491227b65144850864e8353bdcbec425f94ccc3842c7bc38a2d826517361e888",
+    ),
+]
+
+
+class TestGoldenNumericReports:
+    """SHA-256 of the exit code, --json stdout and, for simulate, the CSV
+    bytes of numeric reports.  No float on these paths goes through a BLAS
+    kernel or a numpy reduction whose order may vary, so the bytes do not
+    depend on the numpy build."""
+
+    @pytest.mark.parametrize("argv, digest", GOLDEN_NUMERIC_REPORTS)
+    def test_report_bytes(self, capsys, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)  # the report names the CSV by its relative path
+        if argv[0] == "simulate":
+            argv = (*argv, "--out", "trajectory.csv", "--json")
+        code, stdout, _ = run(capsys, *argv)
+        report = f"{code}\n{stdout}".encode()
+        if argv[0] == "simulate":
+            report += (tmp_path / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
 
 
 class TestDeriveCache:

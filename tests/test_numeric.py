@@ -258,6 +258,28 @@ class TestFloatSteppers:
             with pytest.raises(ex.UnboundSymbolError):
                 run(state, fields, 0.1, 3, method)
 
+    def test_no_blas_call(self, monkeypatch):
+        def dot(*args, **kwargs):
+            raise AssertionError("np.dot called while stepping")
+
+        monkeypatch.setattr(np, "dot", dot)
+        fields = (parse_vector_field("x2;0;t"), parse_vector_field("x2;x3;x1"))
+        state = ParticleState([0.1, 0.2, 0.3], [1, 0.5, 0.25])
+        assert integrate(state, fields, 0.01, 50, "boris").first_nonfinite is None
+
+    def test_memory_is_one_table(self):
+        # 7 floats per state; a Python list of row tuples took about 4.9x as much
+        steps = 100_000
+        state = ParticleState([0, 0, 0], [1, 0, 0])
+        tracemalloc.start()
+        try:
+            traj = integrate(state, (ZERO_FIELD, UNIFORM_B), 0.01, steps, "boris")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == steps + 1
+        assert peak < 2 * (steps + 1) * 7 * 8
+
     def test_boris_steps_are_not_numpy_bound(self):
         fields = (parse_vector_field("x2/4+t/3;-x1/5;t/7"), parse_vector_field("x3/3;1/2;1+t/5"))
         state = ParticleState([0.1, 0.2, 0.3], [1, 0.5, 0.25])
