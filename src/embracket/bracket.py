@@ -45,7 +45,6 @@ from .expr import (
     UnsupportedOperandError,
     Var,
     VectorField,
-    ZERO,
     eps,
     field_component,
     instantiate_indices,
@@ -355,17 +354,10 @@ def derive_qF_antisymmetry(force: Sequence[Expr]) -> DerivationReport:
     return report
 
 
-def verify_E_bracket(force: Optional[Sequence[Expr]] = None) -> DerivationReport:
+def verify_E_bracket() -> DerivationReport:
     """Replay the Leibniz expansion of {q_i, F_j} for the velocity-affine ansatz
     and certify that {q_i, E_j} = 0 follows from matching the dual form."""
     ansatz = lorentz_force()
-    if force is not None:
-        comps = tuple(force)
-        if any((a - b) != ZERO for a, b in zip(comps, ansatz)):
-            raise UnsupportedOperandError(
-                "the electric-bracket replay needs the velocity-affine ansatz "
-                "with opaque E and B"
-            )
     report = DerivationReport("E-bracket", {})
     b_vec = _field_vector("B")
     v_vec = [v(a) for a in (1, 2, 3)]
@@ -451,12 +443,12 @@ def derive_divB() -> DerivationReport:
     return report
 
 
-def derive_faraday(use_divB: bool = True) -> DerivationReport:
+def derive_faraday() -> DerivationReport:
     """Differentiate the velocity-bracket dual of B along the flow, expand by
     Leibniz, and extract the induction constraint."""
-    report = DerivationReport("faraday", {"use_divB": use_divB})
+    report = DerivationReport("faraday", {})
     b_s = field_component("B", "s")
-    lhs = total_time_derivative(b_s, mode="free")
+    lhs = total_time_derivative(b_s)
     report.add(
         "induction-chain-rule",
         "total time derivative of B_s along the flow: del_t + v_j del_qj",
@@ -499,23 +491,14 @@ def derive_faraday(use_divB: bool = True) -> DerivationReport:
         residual,
         ok=reduced == expected,
     )
-    if use_divB:
-        constraint = reduced / C_SYM
-        report.add(
-            "induction-constraint",
-            "substitute the magnetic-divergence constraint and divide by c",
-            [residual],
-            constraint,
-            ok=constraint == faraday_expression(),
-        )
-    else:
-        constraint = residual / C_SYM
-        report.add(
-            "induction-constraint",
-            "divide the raw residual by c (magnetic divergence kept)",
-            [residual],
-            constraint,
-        )
+    constraint = reduced / C_SYM
+    report.add(
+        "induction-constraint",
+        "substitute the magnetic-divergence constraint and divide by c",
+        [residual],
+        constraint,
+        ok=constraint == faraday_expression(),
+    )
     report.constraints.append(Constraint("faraday-induction", constraint))
     return report
 
@@ -574,7 +557,7 @@ def _symbolic_chain() -> tuple[tuple[DerivationStep, ...], tuple, tuple[Constrai
     div_rep = derive_divB()
     report.steps.extend(div_rep.steps)
     report.notes.update(div_rep.notes)
-    far_rep = derive_faraday(use_divB=True)
+    far_rep = derive_faraday()
     report.steps.extend(far_rep.steps)
     report.notes.update(far_rep.notes)
     constraints = div_rep.constraints + far_rep.constraints
@@ -623,7 +606,7 @@ def _qf_from_params(force: list[str]):
 _GENERATORS = {
     "chain": _chain_from_params,
     "qF-antisymmetry": _qf_from_params,
-    "E-bracket": lambda: verify_E_bracket(),
+    "E-bracket": verify_E_bracket,
     "divB": derive_divB,
     "faraday": derive_faraday,
 }

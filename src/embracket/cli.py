@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
         payload["lagrangian"] = str(lag.L)
         entries = nm.el_residual(traj, lag, bindings).entries
         if field_e.is_static() and field_b.is_static():
-            entries = entries + nm.energy_check(traj, lag.scalar_pot, None, bindings).entries
+            entries = entries + nm.energy_check(traj, lag.scalar_pot, bindings).entries
         payload["entries"] = [e.to_json_dict() for e in entries]
         for e in entries:
             lines.append(f"{e.name}: max {e.max:.3e} rms {e.rms:.3e}")

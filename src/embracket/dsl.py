@@ -319,9 +319,9 @@ def parse_components(text: str, context: str) -> tuple[Expr, Expr, Expr]:
     return tuple(comps)
 
 
-def parse_vector_field(text: str, context: str = "field-space") -> VectorField:
-    """Parse 'e1;e2;e3' into a vector field of canonical components."""
+def parse_vector_field(text: str) -> VectorField:
+    """Parse field-space 'e1;e2;e3' into a vector field of canonical components."""
     try:
-        return VectorField(parse_components(text, context))
+        return VectorField(parse_components(text, "field-space"))
     except ex.ExprError as err:
         raise ParseError(0, str(err)) from None

@@ -885,54 +885,17 @@ def partial(expr: Expr, var) -> Expr:
     return Expr(tuple(raw))
 
 
-def total_time_derivative(expr: Expr, mode: str = "free", force=None) -> Expr:
+def total_time_derivative(expr: Expr) -> Expr:
     """Total derivative along the flow: d/dt = del_t + v.del_q + a.del_v.
 
-    ``mode='free'`` keeps acceleration symbols a_i; ``mode='on-shell'``
-    substitutes a_i -> F_i/m with the supplied force components.
+    Acceleration symbols a_i stay free.
     """
-    if mode not in ("free", "on-shell"):
-        raise ExprError(f"unknown mode {mode!r}")
     k1, k2 = _fresh_name(), _fresh_name()
-    result = _sum((
+    return _sum((
         partial(expr, ("t", None)),
         v(k1) * partial(expr, ("q", k1)),
         accel(k2) * partial(expr, ("v", k2)),
     ))
-    if mode == "free":
-        return result
-    if force is None:
-        raise ExprError("on-shell mode requires a force")
-    comps = _force_components(force)
-    return _substitute_acceleration(result, comps)
-
-
-def _force_components(force) -> tuple[Expr, Expr, Expr]:
-    comps = tuple(force)
-    if len(comps) != 3 or not all(isinstance(cp, Expr) for cp in comps):
-        raise ExprError("force must be three expressions")
-    return comps  # type: ignore[return-value]
-
-
-def _substitute_acceleration(expr: Expr, comps: tuple[Expr, Expr, Expr]) -> Expr:
-    if any(c.has_kind("a") for c in comps):
-        raise ExprError("force components may not contain acceleration symbols")
-    pieces = []
-    for term in expr.terms:
-        if not any(isinstance(a, Var) and a.kind == "a" for a in term[2]):
-            pieces.append(Expr((term,), _canonical=True))
-            continue
-        for cterm in expand_dummies(Expr((term,), _canonical=True)).terms:
-            coeff, cpow, atoms = cterm
-            pos = next(
-                i for i, a in enumerate(atoms) if isinstance(a, Var) and a.kind == "a"
-            )
-            comp_idx = atoms[pos].index
-            if not isinstance(comp_idx, int):
-                raise ExprError("free symbolic acceleration index cannot be bound")
-            rest = Expr(((coeff, cpow, atoms[:pos] + atoms[pos + 1:]),))
-            pieces.append(_substitute_acceleration(rest * comps[comp_idx - 1] / M_SYM, comps))
-    return _sum(pieces)
 
 
 def expand_dummies(expr: Expr) -> Expr:

@@ -93,16 +93,9 @@ class ForceLaw:
             raise ex.ExprError("the conservative potential may not depend on v")
 
     @classmethod
-    def lorentz(
-        cls,
-        field_E: VectorField,
-        field_B: VectorField,
-        potential: Optional[Expr] = None,
-    ) -> "ForceLaw":
+    def lorentz(cls, field_E: VectorField, field_B: VectorField) -> "ForceLaw":
         """e E + (e/c) v x B built from concrete fields, moved onto the trajectory."""
-        comps = ex._lorentz(field_E.to_phase(), field_B.to_phase())
-        pot = phase_space(potential) if potential is not None else None
-        return cls(comps, pot)
+        return cls(ex._lorentz(field_E.to_phase(), field_B.to_phase()))
 
     def total_components(self) -> tuple[Expr, Expr, Expr]:
         if self.potential is None:

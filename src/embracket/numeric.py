@@ -498,16 +498,12 @@ def integrate(
     return Trajectory(table[:, 0], table[:, 1:4], table[:, 4:], h, method, first_nonfinite)
 
 
-def measured_rotation_frequency(traj: Trajectory, axis: Sequence[float] = (0, 0, 1)) -> float:
-    """Angular frequency of the velocity rotation in the plane normal to axis."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    vel = traj.velocities - np.outer(traj.velocities @ n, n)
+def measured_rotation_frequency(traj: Trajectory) -> float:
+    """Angular frequency of the velocity rotation in the (v1, v2) plane."""
+    vel = traj.velocities[:, :2].tolist()
     total = 0.0
-    for a, b in zip(vel[:-1], vel[1:]):
-        cross = np.dot(np.cross(a, b), n)
-        dot = float(np.dot(a, b))
-        total += math.atan2(cross, dot)
+    for (a1, a2), (b1, b2) in zip(vel[:-1], vel[1:]):
+        total += math.atan2(a1 * b2 - a2 * b1, a1 * b1 + a2 * b2)
     span = float(traj.times[-1] - traj.times[0])
     return abs(total) / span
 
@@ -550,26 +546,22 @@ def el_residual(
 def energy_check(
     traj: Trajectory,
     scalar_pot: Expr,
-    conservative: Optional[Expr] = None,
     bindings: Optional[NumericBindings] = None,
 ) -> ResidualReport:
-    """Drift of H = m v^2/2 + e A0(r) + U(r) along a trajectory.
+    """Drift of H = m v^2/2 + e A0(r) along a trajectory.
 
-    Static potentials only: a time-dependent A0 or U is rejected, because
-    then H is not conserved to begin with.
+    Static potentials only: a time-dependent A0 is rejected, because then H
+    is not conserved to begin with.
     """
     bindings = bindings or NumericBindings()
-    for name, pot in (("A0", scalar_pot), ("U", conservative)):
-        if pot is not None and pot.has_kind("t"):
-            raise ValueError(f"{name} must be static for the energy check")
+    if scalar_pot.has_kind("t"):
+        raise ValueError("A0 must be static for the energy check")
     pos = tuple(traj.positions[:, k] for k in range(3))
     v1, v2, v3 = (traj.velocities[:, k] for k in range(3))
     kinetic = 0.5 * bindings.m * (v1 * v1 + v2 * v2 + v3 * v3)
-    pots = [scalar_pot] if conservative is None else [scalar_pot, conservative]
-    sampled = _samples(_tables(pots, bindings), (len(traj),), (*pos, None, None, None, traj.times))
-    h_series = kinetic + bindings.e * sampled[0]
-    if conservative is not None:
-        h_series = h_series + sampled[1]
+    values = (*pos, None, None, None, traj.times)
+    (a0,) = _samples(_tables([scalar_pot], bindings), (len(traj),), values)
+    h_series = kinetic + bindings.e * a0
     h0 = float(h_series[0])
     scale = abs(h0) if abs(h0) > 1e-300 else 1.0
     drift = np.abs(h_series - h0) / scale
@@ -580,12 +572,14 @@ def energy_check(
 # canonical brackets by finite differences
 
 
+_FD_STEP = 1e-4  # central-difference offset along each r_k and p_k
+
+
 def canonical_bracket_check(
-    fields: tuple[VectorField, VectorField],
-    potentials: tuple[VectorField, Expr],
+    field_B: VectorField,
+    vector_potential: VectorField,
     state: ParticleState,
     bindings: Optional[NumericBindings] = None,
-    fd_step: float = 1e-4,
 ) -> ResidualReport:
     """Central-difference canonical brackets versus the symbolic rule table.
 
@@ -595,9 +589,7 @@ def canonical_bracket_check(
     evaluated at the same point, so the two routes are fully independent.
     """
     bindings = bindings or NumericBindings()
-    field_E, field_B = fields
-    vec_pot, _ = potentials
-    a_at = _compile_field(vec_pot, bindings)
+    a_at = _compile_field(vector_potential, bindings)
     t0 = state.t
 
     def v_of(r, p, j):
@@ -609,11 +601,11 @@ def canonical_bracket_check(
         total = 0.0
         for k in range(3):
             d = np.zeros(3)  # the same offset along r_k and p_k
-            d[k] = fd_step
-            df_dr = (f(state.r + d, p0) - f(state.r - d, p0)) / (2 * fd_step)
-            dg_dp = (g(state.r, p0 + d) - g(state.r, p0 - d)) / (2 * fd_step)
-            df_dp = (f(state.r, p0 + d) - f(state.r, p0 - d)) / (2 * fd_step)
-            dg_dr = (g(state.r + d, p0) - g(state.r - d, p0)) / (2 * fd_step)
+            d[k] = _FD_STEP
+            df_dr = (f(state.r + d, p0) - f(state.r - d, p0)) / (2 * _FD_STEP)
+            dg_dp = (g(state.r, p0 + d) - g(state.r, p0 - d)) / (2 * _FD_STEP)
+            df_dp = (f(state.r, p0 + d) - f(state.r, p0 - d)) / (2 * _FD_STEP)
+            dg_dr = (g(state.r + d, p0) - g(state.r - d, p0)) / (2 * _FD_STEP)
             total += df_dr * dg_dp - df_dp * dg_dr
         return total
 
@@ -631,9 +623,9 @@ def canonical_bracket_check(
                 offdiag_err.append(abs(got))
             qq = fd_bracket(lambda r, p, i=i: r[i], lambda r, p, j=j: r[j])
             qq_err.append(abs(qq))
-    entries.append(_entry("position-velocity-diagonal", diag_err, fd_step))
-    entries.append(_entry("position-velocity-offdiagonal", offdiag_err, fd_step))
-    entries.append(_entry("position-position", qq_err, fd_step))
+    entries.append(_entry("position-velocity-diagonal", diag_err, _FD_STEP))
+    entries.append(_entry("position-velocity-offdiagonal", offdiag_err, _FD_STEP))
+    entries.append(_entry("position-position", qq_err, _FD_STEP))
 
     vv_err = []
     for i in range(3):
@@ -646,7 +638,7 @@ def canonical_bracket_check(
             expected = float(evaluate(bound, state.r, bindings, time=t0))
             scale = max(abs(expected), 1.0)
             vv_err.append(abs(got - expected) / scale)
-    entries.append(_entry("velocity-velocity", vv_err, fd_step))
+    entries.append(_entry("velocity-velocity", vv_err, _FD_STEP))
     return ResidualReport(entries)
 
 

@@ -1004,7 +1004,7 @@ def reference_parse(text: str, context: str = "phase-space") -> Expr:
 
 # ---------------------------------------------------------------------------
 # Helmholtz conditions and the Euler-Lagrange round trip as they were before
-# the derivative jet: repeated partials and total_time_derivative in free mode
+# the derivative jet: repeated partials and total_time_derivative
 
 
 def _reference_linearity(a) -> hh.ConditionResult:
@@ -1018,9 +1018,9 @@ def reference_helmholtz_check(force: hh.ForceLaw) -> hh.HelmholtzReport:
     """Evaluate the potentiality conditions symbolically.
 
     The velocity gradient a_ij = dF_i/dv_j is taken once and every condition
-    is read off it.  The total time derivative in the mixed condition is
-    taken in free mode; for affine forces the acceleration terms drop out on
-    their own.
+    is read off it.  The total time derivative in the mixed condition keeps
+    the acceleration symbols free; for affine forces the acceleration terms
+    drop out on their own.
     """
     comps = force.total_components()
     a = hh._velocity_gradient(comps)
@@ -1032,7 +1032,7 @@ def reference_helmholtz_check(force: hh.ForceLaw) -> hh.HelmholtzReport:
         ex._sum((
             ex.partial(comps[i - 1], ("q", j)),
             -ex.partial(comps[j - 1], ("q", i)),
-            ex.total_time_derivative(a[j - 1][i - 1], mode="free"),
+            ex.total_time_derivative(a[j - 1][i - 1]),
         ))
         for i, j in hh._PAIRS
     )
@@ -1078,7 +1078,7 @@ def reference_euler_lagrange_roundtrip(lagrangian, force: hh.ForceLaw) -> tuple[
     comps = force.total_components()
     out = []
     for i in (1, 2, 3):
-        el = ex.total_time_derivative(ex.partial(l_expr, ("v", i)), mode="free") - ex.partial(
+        el = ex.total_time_derivative(ex.partial(l_expr, ("v", i))) - ex.partial(
             l_expr, ("q", i)
         )
         target = ex.M_SYM * ex.accel(i) - comps[i - 1]

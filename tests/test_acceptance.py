@@ -335,9 +335,7 @@ def test_08_canonical_bracket_spot_check():
             [rng.uniform(-1, 1) for _ in range(3)],
             [rng.uniform(-1, 1) for _ in range(3)],
         )
-        report = canonical_bracket_check(
-            (ZERO_FIELD, field_b), (vec_pot, ZERO), state
-        )
+        report = canonical_bracket_check(field_b, vec_pot, state)
         vv = report.entry("velocity-velocity").max
         qv_diag = report.entry("position-velocity-diagonal").max
         qv_off = report.entry("position-velocity-offdiagonal").max

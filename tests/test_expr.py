@@ -878,17 +878,6 @@ class TestTotalTimeDerivative:
     def test_velocity_free_mode(self):
         assert total_time_derivative(ex.v(1)) == ex.accel(1)
 
-    def test_on_shell_substitution(self):
-        from embracket.bracket import lorentz_force
-
-        force = lorentz_force()
-        got = total_time_derivative(ex.v(1), mode="on-shell", force=force)
-        assert got == force[0] / ex.M_SYM
-
-    def test_on_shell_requires_force(self):
-        with pytest.raises(ex.ExprError):
-            total_time_derivative(ex.v(1), mode="on-shell")
-
     def test_chain_rule_against_difference_quotient(self):
         # numerical oracle along an explicit trajectory
         import math

@@ -312,11 +312,9 @@ class TestReconstruction:
         assert not err.value.report.passed
 
     def test_conservative_term(self):
-        force = ForceLaw.lorentz(
-            ZERO_FIELD,
-            parse_vector_field("0;0;1"),
-            potential=parse("x1^2", "field-space"),
-        )
+        # the route of the CLI's --potential-U: U joins the Lorentz components
+        lorentz = ForceLaw.lorentz(ZERO_FIELD, parse_vector_field("0;0;1"))
+        force = ForceLaw(lorentz.components, parse("q1^2"))
         lag = reconstruct_lagrangian(force)
         assert partial(lag.L, ("q", 1)) == parse("e/(2*c)*v2 - 2*q1")
         residual = euler_lagrange_roundtrip(lag, force)

@@ -133,6 +133,16 @@ class TestIntegrators:
         ratio = errors[0.04] / errors[0.02]
         assert 3.0 < ratio < 5.0
 
+    @pytest.mark.parametrize("v0", [(1, 0, 0), (1, 0, 0.5)])
+    @pytest.mark.parametrize("h", [0.04, 0.02])
+    def test_boris_rotation_angle_is_exact(self, v0, h):
+        # in B = (0, 0, 1) each Boris step turns (v1, v2) by 2 atan(h/2);
+        # the helix's v3 stays out of the measured rotation
+        state = ParticleState([0, 0, 0], list(v0))
+        traj = integrate(state, (ZERO_FIELD, UNIFORM_B), h, int(round(16 / h)), "boris")
+        expected = 2 * math.atan(h / 2) / h
+        assert measured_rotation_frequency(traj) == pytest.approx(expected, rel=1e-12)
+
     def test_rk4_free_particle_exact(self):
         state = ParticleState([1, 2, 3], [0.5, -0.25, 2.0])
         traj = integrate(state, (ZERO_FIELD, ZERO_FIELD), 0.1, 40, "rk4")
@@ -371,7 +381,7 @@ class TestCanonicalBrackets:
     def test_uniform_field_rules(self):
         vec_pot = poincare_vector_potential(UNIFORM_B)
         state = ParticleState([0.3, -0.2, 0.5], [0.1, 0.2, -0.3])
-        report = canonical_bracket_check((ZERO_FIELD, UNIFORM_B), (vec_pot, ZERO), state)
+        report = canonical_bracket_check(UNIFORM_B, vec_pot, state)
         assert report.entry("position-velocity-diagonal").max < 1e-8
         assert report.entry("position-velocity-offdiagonal").max < 1e-8
         assert report.entry("position-position").max < 1e-10
@@ -385,9 +395,7 @@ class TestCanonicalBrackets:
                 [rng.uniform(-1, 1) for _ in range(3)],
                 [rng.uniform(-1, 1) for _ in range(3)],
             )
-            report = canonical_bracket_check(
-                (ZERO_FIELD, field_b), (vec_pot, ZERO), state
-            )
+            report = canonical_bracket_check(field_b, vec_pot, state)
             assert report.entry("velocity-velocity").max < 1e-6
             assert report.entry("position-velocity-diagonal").max < 1e-6
 
@@ -395,9 +403,7 @@ class TestCanonicalBrackets:
         bindings = NumericBindings(e=2.0, m=3.0, c=1.5)
         vec_pot = poincare_vector_potential(UNIFORM_B)
         state = ParticleState([0.1, 0.4, -0.2], [0.3, 0.1, 0.2])
-        report = canonical_bracket_check(
-            (ZERO_FIELD, UNIFORM_B), (vec_pot, ZERO), state, bindings
-        )
+        report = canonical_bracket_check(UNIFORM_B, vec_pot, state, bindings)
         assert report.entry("velocity-velocity").max < 1e-6
         assert report.entry("position-velocity-diagonal").max < 1e-6
 
