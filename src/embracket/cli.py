@@ -182,9 +182,9 @@ def cmd_simulate(args) -> int:
         payload["first_nonfinite_step"] = traj.first_nonfinite
         lines.append(f"trajectory: FAIL (first non-finite state at step {traj.first_nonfinite})")
     try:
-        force = hh.ForceLaw.lorentz(field_e, field_b)
-        lag = hh.reconstruct_lagrangian(force)
-    except (hh.NotVariationalError, hh.PotentialConstructionError) as err:
+        # given fields need no inverse problem: their potentials settle div B and Faraday
+        lag = hh.minimal_coupling(field_e, field_b, None)
+    except hh.PotentialConstructionError as err:
         payload["lagrangian"] = None
         payload["note"] = f"no Lagrangian: {err}"
         lines.append("no reconstructable Lagrangian; residual checks skipped")

@@ -822,18 +822,10 @@ def canonicalize(expr: Expr) -> Expr:
 
 
 def _as_var(var) -> tuple[str, Index | None]:
-    """Accept ('q', 1)-style pairs or single-variable expressions."""
-    if isinstance(var, tuple) and len(var) == 2:
-        kind, idx = var
-    elif isinstance(var, Expr):
-        if len(var.terms) != 1:
-            raise ExprError(f"not a single variable: {var}")
-        coeff, cpow, atoms = var.terms[0]
-        if coeff != 1 or cpow != (0, 0, 0) or len(atoms) != 1 or not isinstance(atoms[0], Var):
-            raise ExprError(f"not a single variable: {var}")
-        kind, idx = atoms[0].kind, atoms[0].index
-    else:
+    """Accept a ('q', 1)-style (kind, index) pair."""
+    if not (isinstance(var, tuple) and len(var) == 2):
         raise ExprError(f"not a variable reference: {var!r}")
+    kind, idx = var
     if kind == "t":
         return ("t", None)
     if kind not in ("q", "v", "x"):

@@ -9,9 +9,9 @@ Lagrangian with Hessian m * delta_ij, using the two classical conditions
 plus the equivalent triple on the affine decomposition F_i = a_ij v_j + b_i
 (a antisymmetric, cyclic gradient sum of a vanishing, curl b matching the
 time derivative of a).  Passing forces are decomposed into electric and
-magnetic fields, potentials are constructed by the star-shaped homotopy
-integral, and the minimally coupled Lagrangian is rebuilt and round-tripped
-through its Euler-Lagrange equations.
+magnetic fields.  From fields, identified or given, the star-shaped homotopy
+integral builds the potentials and ``minimal_coupling`` the Lagrangian,
+which is round-tripped through its Euler-Lagrange equations.
 
 The conditions read one derivative jet, each first partial taken once: a =
 dF/dv, its v, q and t partials, dF/dq and db/dq.  d/dt is the chain rule
@@ -194,6 +194,8 @@ def _nonzero(name: str, entries) -> ConditionResult:
 
 _PAIRS = tuple(itertools.product((1, 2, 3), repeat=2))
 _TRIPLES = tuple(itertools.product((1, 2, 3), repeat=3))
+# m delta_ij: the velocity Hessian of every Lagrangian this module builds
+_MASS_HESSIAN = tuple(tuple(M_SYM if i == j else ZERO for j in range(3)) for i in range(3))
 
 
 def _grad(e: Expr, kind: str) -> tuple[Expr, Expr, Expr]:
@@ -264,8 +266,7 @@ def _checked_gradient(force: ForceLaw) -> tuple[HelmholtzReport, tuple]:
         )
         conditions.append(_nonzero("affine-time", zip(_PAIRS, tcond)))
 
-    hessian = tuple(tuple(M_SYM if i == j else ZERO for j in range(3)) for i in range(3))
-    return HelmholtzReport(tuple(conditions), hessian), a
+    return HelmholtzReport(tuple(conditions), _MASS_HESSIAN), a
 
 
 def helmholtz_check(force: ForceLaw) -> HelmholtzReport:
@@ -371,7 +372,7 @@ def scalar_potential(field_E: VectorField, vec_potential: VectorField) -> Expr:
     if not all(ci.is_zero for ci in curl_g):
         raise PotentialConstructionError(
             "electric field is not compatible with the vector potential",
-            tuple(curl_g),
+            curl_g,
         )
     a0 = -ex._sum(_scale_degree_integral(g[i - 1], 1) * x(i) for i in (1, 2, 3))
     if not all((gi + ai).is_zero for gi, ai in zip(gradient(a0), g)):
@@ -419,6 +420,28 @@ def _require_concrete(parts, what: str) -> None:
             )
 
 
+def minimal_coupling(
+    field_E: VectorField, field_B: VectorField, potential: Optional[Expr]
+) -> LagrangianExpr:
+    """L = m v^2/2 + (e/c) v.A - e A0 - U straight from concrete fields, U may be None.
+
+    Raises :class:`PotentialConstructionError` when div B or Faraday's law fails.
+    """
+    vec_pot = poincare_vector_potential(field_B)
+    a0 = scalar_potential(field_E, vec_pot)
+    a_phase = vec_pot.to_phase()
+    lagrangian = ex._sum([
+        *(M_SYM * v(i) * v(i) / 2 for i in (1, 2, 3)),
+        *((E_SYM / C_SYM) * v(i) * a_phase[i - 1] for i in (1, 2, 3)),
+        -(E_SYM * phase_space(a0)),
+        -potential if potential is not None else ZERO,
+    ])
+    result = LagrangianExpr(lagrangian, vec_pot, a0, potential)
+    if result.hessian() != _MASS_HESSIAN:
+        raise AssertionError("the Lagrangian's velocity Hessian is not m delta_ij")
+    return result
+
+
 def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     """Rebuild L = m v^2/2 + (e/c) v.A - e A0 - U for a potential force.
 
@@ -432,23 +455,8 @@ def reconstruct_lagrangian(force: ForceLaw) -> LagrangianExpr:
     # linearity passed, and the potential has no v: a is the stored components' gradient
     e_q, b_q = identify_fields(AffineDecomposition(a, _affine_offset(force.components, a)))
     _require_concrete(e_q + b_q, "identified field")
-    field_e = VectorField(tuple(ex._field_space(c) for c in e_q))
-    field_b = VectorField(tuple(ex._field_space(c) for c in b_q))
-    vec_pot = poincare_vector_potential(field_b)
-    a0 = scalar_potential(field_e, vec_pot)
-
-    a_phase = vec_pot.to_phase()
-    lagrangian = ex._sum([
-        *(M_SYM * v(i) * v(i) / 2 for i in (1, 2, 3)),
-        *((E_SYM / C_SYM) * v(i) * a_phase[i - 1] for i in (1, 2, 3)),
-        -(E_SYM * phase_space(a0)),
-        -force.potential if force.potential is not None else ZERO,
-    ])
-
-    result = LagrangianExpr(lagrangian, vec_pot, a0, force.potential)
-    if result.hessian() != report.hessian:
-        raise AssertionError("the Lagrangian's velocity Hessian is not m delta_ij")
-    return result
+    field_e, field_b = (VectorField(tuple(map(ex._field_space, f))) for f in (e_q, b_q))
+    return minimal_coupling(field_e, field_b, force.potential)
 
 
 def euler_lagrange_roundtrip(

@@ -266,6 +266,39 @@ class TestSimulate:
         drift = {e["name"]: e for e in payload["entries"]}["energy-drift"]
         assert drift["max"] is None and drift["rms"] is None
 
+    @pytest.mark.parametrize(
+        "field_b, note",
+        [
+            ("x1;0;0", "magnetic field has nonzero divergence: 1"),
+            ("0;0;t", "electric field is not compatible with the vector potential: 0;0;1/c"),
+        ],
+    )
+    def test_no_lagrangian_still_writes_csv(self, capsys, tmp_path, field_b, note):
+        csv = tmp_path / "n.csv"
+        code, stdout, _ = run(
+            capsys, "simulate", "--field-B", field_b, "--v0", "1,0,0",
+            "--dt", "0.01", "--steps", "10", "--out", str(csv), "--json",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["lagrangian"] is None and payload["entries"] == []
+        assert payload["note"] == f"no Lagrangian: {note}"
+        assert len(csv.read_text().splitlines()) == 12
+
+    def test_solves_no_inverse_problem(self, capsys, tmp_path, monkeypatch):
+        def jet(force):
+            raise AssertionError("simulate ran the Helmholtz jet")
+
+        monkeypatch.setattr(hh, "_checked_gradient", jet)
+        code, stdout, _ = run(
+            capsys, "simulate", "--field-E", "0;x3;x2", "--field-B", "0;0;1", "--v0", "1,0,0",
+            "--dt", "0.05", "--steps", "20", "--out", str(tmp_path / "t.csv"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["lagrangian"] is not None
+        assert [e["name"] for e in payload["entries"]] == ["euler-lagrange", "energy-drift"]
+
     def test_finite_report_has_no_flag(self, capsys, tmp_path):
         code, stdout, _ = run(
             capsys, "simulate", "--v0", "1,2,3", "--dt", "0.1", "--steps", "10",

@@ -863,6 +863,12 @@ class TestPartial:
         # d q_1 / d q_k contracts against v_k inside the flow derivative
         assert partial(ex.q(1), ("q", "k")) == delta(1, "k")
 
+    @pytest.mark.parametrize("var", [("a", 1), ex.q(1)], ids=["unknown-kind", "expression"])
+    def test_bad_variable_rejected(self, var):
+        # only (kind, index) pairs of t, q, v or x name a variable
+        with pytest.raises(ex.ExprError):
+            partial(parse("q1*v1"), var)
+
 
 class TestTotalTimeDerivative:
     def test_coordinate(self):

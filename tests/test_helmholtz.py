@@ -265,8 +265,11 @@ class TestPotentials:
         assert scalar_potential(ZERO_FIELD, ZERO_FIELD).is_zero
 
     def test_curl_obstruction(self):
-        with pytest.raises(PotentialConstructionError):
+        with pytest.raises(PotentialConstructionError) as err:
             scalar_potential(parse_vector_field("x2;0;0"), ZERO_FIELD)
+        assert str(err.value) == (
+            "electric field is not compatible with the vector potential: 0;0;-1"
+        )
 
     def test_gradient_identity_random(self, rng):
         for _ in range(15):
@@ -323,6 +326,39 @@ class TestReconstruction:
     def test_potential_with_velocity_rejected(self):
         with pytest.raises(ex.ExprError):
             ForceLaw((ZERO, ZERO, ZERO), potential=parse("v1^2"))
+
+
+def _lagrangian_or_refusal(build):
+    try:
+        lag = build()
+    except (NotVariationalError, PotentialConstructionError):
+        return None
+    return str(lag.L), str(lag.vector_potential), str(lag.scalar_pot)
+
+
+class TestMinimalCoupling:
+    """Given fields, the Lagrangian comes from their potentials alone; the
+    inverse problem on their Lorentz force is the reference route."""
+
+    def test_matches_inverse_problem(self, rng):
+        def random_field():
+            return VectorField(tuple(random_polynomial(rng) for _ in range(3)))
+
+        outcomes = []
+        for n in range(120):
+            # odd n: compatible; else a random E beside a random B or a divergence-free one
+            field_e, field_b = fields_from_potentials(*random_potential_pair(rng))
+            if n % 2 == 0:
+                field_e = random_field()
+                field_b = random_field() if n % 4 == 0 else field_b
+            direct = _lagrangian_or_refusal(lambda: hh.minimal_coupling(field_e, field_b, None))
+            inverse = _lagrangian_or_refusal(
+                lambda: reconstruct_lagrangian(ForceLaw.lorentz(field_e, field_b))
+            )
+            assert direct == inverse, (str(field_e), str(field_b))
+            outcomes.append(direct is None)
+        # both branches ran: some pairs have a Lagrangian, some have none
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestEulerLagrangeRoundtrip:
