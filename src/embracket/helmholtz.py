@@ -394,10 +394,8 @@ class LagrangianExpr:
     conservative: Optional[Expr] = None
 
     def hessian(self) -> tuple[tuple[Expr, ...], ...]:
-        return tuple(
-            tuple(partial(partial(self.L, ("v", i)), ("v", j)) for j in (1, 2, 3))
-            for i in (1, 2, 3)
-        )
+        momenta = [partial(self.L, ("v", i)) for i in (1, 2, 3)]
+        return tuple(tuple(partial(p, ("v", j)) for j in (1, 2, 3)) for p in momenta)
 
     def to_json_dict(self) -> dict:
         return {

@@ -88,7 +88,6 @@ class Trajectory:
     positions: np.ndarray
     velocities: np.ndarray
     h: float
-    method: str
     first_nonfinite: Optional[int] = None  # index of the first state with inf or nan
 
     def __post_init__(self):
@@ -137,6 +136,8 @@ class GridSpec:
             raise ValueError("extent must be positive")
         if not (math.isfinite(self.extent) and math.isfinite(self.t0)):
             raise ValueError("extent and t0 must be finite")
+        if not self.h > 0:
+            raise ValueError("the grid spacing 2 extent / (n - 1) underflows to 0")
 
     @property
     def h(self) -> float:
@@ -495,7 +496,7 @@ def integrate(
         table[k] = (t0 + k * h, *r, *v)  # uniform grid, no accumulated rounding
     finite = np.isfinite(table).all(axis=1)
     first_nonfinite = None if finite.all() else int(np.argmin(finite))
-    return Trajectory(table[:, 0], table[:, 1:4], table[:, 4:], h, method, first_nonfinite)
+    return Trajectory(table[:, 0], table[:, 1:4], table[:, 4:], h, first_nonfinite)
 
 
 def measured_rotation_frequency(traj: Trajectory) -> float:
@@ -583,46 +584,42 @@ def canonical_bracket_check(
 ) -> ResidualReport:
     """Central-difference canonical brackets versus the symbolic rule table.
 
-    Builds p = m v + (e/c) A(r, t), treats v(r, p) as a function on phase
-    space, and forms {f, g} = df/dr.dg/dp - df/dp.dg/dr numerically.  The
+    Builds p = m v + (e/c) A(r, t), treats (r, v) as a function of
+    z = (r, p), takes one central difference along each z_k for its Jacobian,
+    and forms {f, g} = df/dr.dg/dp - df/dp.dg/dr from two of its rows.  The
     reference values are the symbolic rules with the magnetic field bound,
     evaluated at the same point, so the two routes are fully independent.
     """
     bindings = bindings or NumericBindings()
     a_at = _compile_field(vector_potential, bindings)
-    t0 = state.t
+    t0, charge = state.t, bindings.e / bindings.c
 
-    def v_of(r, p, j):
-        return (p[j] - (bindings.e / bindings.c) * a_at(*r, t0)[j]) / bindings.m
+    def phase(z):  # (r, v) at z = (r, p)
+        return np.concatenate((z[:3], (z[3:] - charge * np.array(a_at(*z[:3], t0))) / bindings.m))
 
-    p0 = bindings.m * state.v + (bindings.e / bindings.c) * np.array(a_at(*state.r, t0))
+    z0 = np.concatenate((state.r, bindings.m * state.v + charge * np.array(a_at(*state.r, t0))))
+    # jac[a][k] = d(r, v)_a / dz_k, the same offset along each r_k and p_k
+    jac = np.column_stack(
+        [(phase(z0 + d) - phase(z0 - d)) / (2 * _FD_STEP) for d in _FD_STEP * np.eye(6)]
+    ).tolist()
 
-    def fd_bracket(f, g):
+    def fd_bracket(a, b):  # rows a and b of the Jacobian: r_i is row i, v_j row 3 + j
         total = 0.0
         for k in range(3):
-            d = np.zeros(3)  # the same offset along r_k and p_k
-            d[k] = _FD_STEP
-            df_dr = (f(state.r + d, p0) - f(state.r - d, p0)) / (2 * _FD_STEP)
-            dg_dp = (g(state.r, p0 + d) - g(state.r, p0 - d)) / (2 * _FD_STEP)
-            df_dp = (f(state.r, p0 + d) - f(state.r, p0 - d)) / (2 * _FD_STEP)
-            dg_dr = (g(state.r + d, p0) - g(state.r - d, p0)) / (2 * _FD_STEP)
-            total += df_dr * dg_dp - df_dp * dg_dr
+            total += jac[a][k] * jac[b][k + 3] - jac[a][k + 3] * jac[b][k]
         return total
 
     entries = []
     diag_err, offdiag_err, qq_err = [], [], []
     for i in range(3):
         for j in range(3):
-            got = fd_bracket(
-                lambda r, p, i=i: r[i], lambda r, p, j=j: v_of(r, p, j)
-            )
+            got = fd_bracket(i, 3 + j)
             if i == j:
                 expected = 1.0 / bindings.m
                 diag_err.append(abs(got - expected) * bindings.m)
             else:
                 offdiag_err.append(abs(got))
-            qq = fd_bracket(lambda r, p, i=i: r[i], lambda r, p, j=j: r[j])
-            qq_err.append(abs(qq))
+            qq_err.append(abs(fd_bracket(i, j)))
     entries.append(_entry("position-velocity-diagonal", diag_err, _FD_STEP))
     entries.append(_entry("position-velocity-offdiagonal", offdiag_err, _FD_STEP))
     entries.append(_entry("position-position", qq_err, _FD_STEP))
@@ -630,9 +627,7 @@ def canonical_bracket_check(
     vv_err = []
     for i in range(3):
         for j in range(3):
-            got = fd_bracket(
-                lambda r, p, i=i: v_of(r, p, i), lambda r, p, j=j: v_of(r, p, j)
-            )
+            got = fd_bracket(3 + i, 3 + j)
             rule = _rule_bracket(ex.v(i + 1), ex.v(j + 1))
             bound = ex.substitute_fields(rule, {"B": field_B})
             expected = float(evaluate(bound, state.r, bindings, time=t0))
@@ -665,15 +660,14 @@ def maxwell_grid_residuals(
     fields: tuple[VectorField, VectorField],
     grid: GridSpec,
     bindings: Optional[NumericBindings] = None,
-    charge_density: Optional[Expr] = None,
-    current_density: Optional[VectorField] = None,
 ) -> ResidualReport:
-    """Four central-difference Maxwell residuals on a cubic grid.
+    """Two central-difference Maxwell residuals and two implied sources on a
+    cubic grid.
 
     Time derivatives are taken symbolically and sampled; space derivatives
-    are second-order central stencils on interior points.  Without source
-    expressions, the Gauss and Ampere-Maxwell rows report the implied
-    sources div E and c curl B - dE/dt instead of residuals.
+    are second-order central stencils on interior points.  The rows are
+    div B, Faraday's curl E + (1/c) dB/dt, and the sources the fields imply:
+    div E and c curl B - dE/dt.
 
     The cube is worked through in slabs of about ``_SLAB`` interior points,
     whole x1-planes each.  E and B are sampled on the slab with one halo
@@ -684,13 +678,11 @@ def maxwell_grid_residuals(
     field_E, field_B = fields
     comps = [*field_E, *field_B]
     tables = _tables(comps + [ex.partial(comp, ("t", None)) for comp in comps], bindings)
-    rho = None if charge_density is None else _tables([charge_density], bindings)
-    current = None if current_density is None else _tables(current_density, bindings)
     names = (
         "magnetic-divergence",
         "faraday-induction",
-        "implied-charge-density" if rho is None else "gauss-electric",
-        "implied-current-density" if current is None else "ampere-maxwell",
+        "implied-charge-density",
+        "implied-current-density",
     )
     rows = [_SumOfSquares() for _ in names]
     n, h, c, x = grid.n, grid.h, bindings.c, grid.axis()
@@ -720,18 +712,10 @@ def maxwell_grid_residuals(
         for k in range(3):
             curl[k] += db_dt[k] / c
         rows[1].add(curl)
-        div_e = div_fd(e_vals)
-        if rho is not None:
-            div_e -= _samples(rho, *at_inner)[0]
-        rows[2].add(div_e)
+        rows[2].add(div_fd(e_vals))
         curl = curl_fd(b_vals, curl)
-        if current is None:
-            for k in range(3):
-                curl[k] *= c
-                curl[k] -= de_dt[k]
-        else:
-            j_vals = _samples(current, *at_inner)
-            for k in range(3):
-                curl[k] -= (j_vals[k] + de_dt[k]) / c
+        for k in range(3):
+            curl[k] *= c
+            curl[k] -= de_dt[k]
         rows[3].add(curl)
     return ResidualReport([ResidualEntry(name, *row.result(), h) for name, row in zip(names, rows)])

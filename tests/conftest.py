@@ -528,9 +528,7 @@ def _reference_grid_norms(values) -> tuple[float, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_maxwell_grid_residuals(
-    fields, grid, bindings=None, charge_density=None, current_density=None
-) -> nm.ResidualReport:
+def reference_maxwell_grid_residuals(fields, grid, bindings=None) -> nm.ResidualReport:
     """``numeric.maxwell_grid_residuals`` as it was before it streamed the
     cube in slabs: every component sampled on the three full ``np.meshgrid``
     arrays, each residual row reduced in one piece."""
@@ -585,26 +583,71 @@ def reference_maxwell_grid_residuals(
     ]
     entries.append(_entry("faraday-induction", faraday, h))
 
-    div_e = div_fd(e_vals)
-    if charge_density is not None:
-        rho = _interior(_samples([charge_density], *at_mesh)[0])
-        entries.append(_entry("gauss-electric", div_e - rho, h))
-    else:
-        entries.append(_entry("implied-charge-density", div_e, h))
+    entries.append(_entry("implied-charge-density", div_fd(e_vals), h))
 
     curl_b = curl_fd(b_vals)
-    if current_density is not None:
-        j_vals = [_interior(v) for v in _samples(current_density, *at_mesh)]
-        ampere = [
-            curl_b[k] - (j_vals[k] + _interior(de_dt[k])) / bindings.c
-            for k in range(3)
-        ]
-        entries.append(_entry("ampere-maxwell", ampere, h))
-    else:
-        implied = [
-            bindings.c * curl_b[k] - _interior(de_dt[k]) for k in range(3)
-        ]
-        entries.append(_entry("implied-current-density", implied, h))
+    implied = [
+        bindings.c * curl_b[k] - _interior(de_dt[k]) for k in range(3)
+    ]
+    entries.append(_entry("implied-current-density", implied, h))
+    return nm.ResidualReport(entries)
+
+
+def reference_canonical_bracket_check(field_B, vector_potential, state, bindings=None):
+    """``numeric.canonical_bracket_check`` as it was before it read one
+    Jacobian: every bracket takes its own four central differences per
+    direction, through lambdas over (r, p)."""
+    bindings = bindings or nm.NumericBindings()
+    a_at = nm._compile_field(vector_potential, bindings)
+    t0 = state.t
+
+    def v_of(r, p, j):
+        return (p[j] - (bindings.e / bindings.c) * a_at(*r, t0)[j]) / bindings.m
+
+    p0 = bindings.m * state.v + (bindings.e / bindings.c) * np.array(a_at(*state.r, t0))
+
+    def fd_bracket(f, g):
+        total = 0.0
+        for k in range(3):
+            d = np.zeros(3)  # the same offset along r_k and p_k
+            d[k] = nm._FD_STEP
+            df_dr = (f(state.r + d, p0) - f(state.r - d, p0)) / (2 * nm._FD_STEP)
+            dg_dp = (g(state.r, p0 + d) - g(state.r, p0 - d)) / (2 * nm._FD_STEP)
+            df_dp = (f(state.r, p0 + d) - f(state.r, p0 - d)) / (2 * nm._FD_STEP)
+            dg_dr = (g(state.r + d, p0) - g(state.r - d, p0)) / (2 * nm._FD_STEP)
+            total += df_dr * dg_dp - df_dp * dg_dr
+        return total
+
+    entries = []
+    diag_err, offdiag_err, qq_err = [], [], []
+    for i in range(3):
+        for j in range(3):
+            got = fd_bracket(
+                lambda r, p, i=i: r[i], lambda r, p, j=j: v_of(r, p, j)
+            )
+            if i == j:
+                expected = 1.0 / bindings.m
+                diag_err.append(abs(got - expected) * bindings.m)
+            else:
+                offdiag_err.append(abs(got))
+            qq = fd_bracket(lambda r, p, i=i: r[i], lambda r, p, j=j: r[j])
+            qq_err.append(abs(qq))
+    entries.append(nm._entry("position-velocity-diagonal", diag_err, nm._FD_STEP))
+    entries.append(nm._entry("position-velocity-offdiagonal", offdiag_err, nm._FD_STEP))
+    entries.append(nm._entry("position-position", qq_err, nm._FD_STEP))
+
+    vv_err = []
+    for i in range(3):
+        for j in range(3):
+            got = fd_bracket(
+                lambda r, p, i=i: v_of(r, p, i), lambda r, p, j=j: v_of(r, p, j)
+            )
+            rule = nm._rule_bracket(ex.v(i + 1), ex.v(j + 1))
+            bound = ex.substitute_fields(rule, {"B": field_B})
+            expected = float(nm.evaluate(bound, state.r, bindings, time=t0))
+            scale = max(abs(expected), 1.0)
+            vv_err.append(abs(got - expected) / scale)
+    entries.append(nm._entry("velocity-velocity", vv_err, nm._FD_STEP))
     return nm.ResidualReport(entries)
 
 
@@ -699,7 +742,7 @@ def reference_integrate(state, fields, h, steps, method="boris", bindings=None):
         & np.isfinite(velocities).all(axis=1)
     )
     first_nonfinite = None if finite.all() else int(np.argmin(finite))
-    return nm.Trajectory(times, positions, velocities, h, method, first_nonfinite)
+    return nm.Trajectory(times, positions, velocities, h, first_nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,16 @@ class TestErrorContract:
         assert stderr.startswith(f"{argv[0]}: ")
         assert not out.exists()
 
+    def test_underflowing_grid_spacing_exits_two(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "grid", "--n", "5", "--extent", "5e-324", "--field-B", "x2;x3;x1",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "grid: the grid spacing 2 extent / (n - 1) underflows to 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -360,6 +360,12 @@ class TestMinimalCoupling:
         # both branches ran: some pairs have a Lagrangian, some have none
         assert 0 < sum(outcomes) < len(outcomes)
 
+    def test_hessian_postcondition_trips(self):
+        # a velocity-dependent U adds -2 to the (1, 1) entry of m delta_ij
+        field_e, field_b = parse_vector_field("x1;x2;-2*x3"), parse_vector_field("x2;x3;x1")
+        with pytest.raises(AssertionError, match="Hessian"):
+            hh.minimal_coupling(field_e, field_b, parse("v1^2"))
+
 
 class TestEulerLagrangeRoundtrip:
     def test_free_matches_zero_force(self):
