@@ -4,7 +4,11 @@ The package replays the Poisson-bracket route to the Lorentz force and the
 sourceless Maxwell constraints, tests forces against the inverse problem of
 the calculus of variations, rebuilds the minimally coupled Lagrangian with
 its potentials, and cross-checks every symbolic identity numerically.
+The ``numeric`` submodule and its names load, with numpy, on first access.
 """
+
+import importlib.util as _importlib_util
+import sys as _sys
 
 from .expr import (
     C_SYM,
@@ -84,24 +88,48 @@ from .helmholtz import (
     reconstruct_lagrangian,
     scalar_potential,
 )
-from .numeric import (
-    CompiledExpr,
-    GridSpec,
-    NumericBindings,
-    ParticleState,
-    ResidualEntry,
-    ResidualReport,
-    Trajectory,
-    canonical_bracket_check,
-    convergence_order,
-    el_residual,
-    energy_check,
-    evaluate,
-    integrate,
-    maxwell_grid_residuals,
-    measured_rotation_frequency,
-    step_boris,
-    step_rk4,
+
+
+# numeric needs numpy, which costs more to load than the whole symbolic side:
+# the submodule is bound now but runs on first attribute access, and its names
+# resolve through it (PEP 562)
+_spec = _importlib_util.find_spec(f"{__name__}.numeric")
+_spec.loader = _importlib_util.LazyLoader(_spec.loader)
+numeric = _sys.modules[_spec.name] = _importlib_util.module_from_spec(_spec)
+_spec.loader.exec_module(numeric)
+
+_NUMERIC_NAMES = frozenset(
+    {
+        "CompiledExpr",
+        "GridSpec",
+        "NumericBindings",
+        "ParticleState",
+        "ResidualEntry",
+        "ResidualReport",
+        "Trajectory",
+        "canonical_bracket_check",
+        "convergence_order",
+        "el_residual",
+        "energy_check",
+        "evaluate",
+        "integrate",
+        "maxwell_grid_residuals",
+        "measured_rotation_frequency",
+        "step_boris",
+        "step_rk4",
+    }
 )
 
+
+def __getattr__(name: str):
+    if name in _NUMERIC_NAMES:
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _NUMERIC_NAMES)
+
+
 __version__ = "0.1.0"
+__all__ = sorted({n for n in globals() if not n.startswith("_")} | _NUMERIC_NAMES)

@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import expr as ex
 from . import helmholtz as hh
-from . import numeric as nm
+from . import numeric as nm  # bound now, run (with numpy) on first use: see __init__
 from .bracket import div_b_expression, faraday_expression, run_chain
 from .dsl import ParseError, parse, parse_components, parse_vector_field
 

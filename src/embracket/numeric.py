@@ -136,8 +136,9 @@ class GridSpec:
             raise ValueError("extent must be positive")
         if not (math.isfinite(self.extent) and math.isfinite(self.t0)):
             raise ValueError("extent and t0 must be finite")
-        if not self.h > 0:
-            raise ValueError("the grid spacing 2 extent / (n - 1) underflows to 0")
+        if not 0 < self.h < math.inf:
+            fault = "underflows to 0" if self.h == 0 else "overflows"
+            raise ValueError(f"the grid spacing 2 extent / (n - 1) {fault}")
 
     @property
     def h(self) -> float:

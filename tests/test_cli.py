@@ -5,13 +5,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import embracket
 from embracket import expr as ex
 from embracket import helmholtz as hh
 from embracket.bracket import _symbolic_chain, run_chain
@@ -429,6 +434,8 @@ class TestErrorContract:
                 "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",
                 "--dt", "0.1", "--steps", "1000000000000",
             ),
+            # 2 extent / (n - 1) overflows to inf
+            ("grid", "--n", "5", "--extent", "1e308", "--field-E", "x1^3;0;0"),
         ],
     )
     def test_huge_size_exits_two_at_once(self, capsys, tmp_path, argv):
@@ -664,6 +671,59 @@ class TestGoldenNumericReports:
         report = f"{code}\n{stdout}".encode()
         if argv[0] == "simulate":
             report += (tmp_path / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
+
+
+# runs cli.main in a fresh interpreter, then reports on stderr whether numpy was loaded
+_FRESH_MAIN = """
+import sys
+from embracket.cli import main
+code = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_main(argv, cwd):
+    src = str(Path(embracket.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+
+
+class TestFreshProcess:
+    """numpy is loaded only by the numeric commands, and they still print the
+    golden bytes when the numeric layer is loaded on first use."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--force", "e/c*v2;-e/c*v1;0"),
+            ("reconstruct", "--force", "e/c*v2;-e/c*v1;0"),
+            ("derive", "--field-B", "x2;x3;x1"),
+            ("duality",),
+        ],
+    )
+    def test_symbolic_commands_load_no_numpy(self, capsys, tmp_path, argv):
+        code, stdout, numpy_line = _fresh_main(argv, tmp_path)
+        assert (code, numpy_line) == (0, "numpy loaded: False")
+        assert (code, stdout) == run(capsys, *argv)[:2]
+
+    @pytest.mark.parametrize(
+        "argv, digest", [GOLDEN_NUMERIC_REPORTS[0], GOLDEN_NUMERIC_REPORTS[4]]
+    )
+    def test_numeric_commands_print_golden_bytes(self, tmp_path, argv, digest):
+        if argv[0] == "simulate":
+            argv = (*argv, "--out", "trajectory.csv", "--json")
+        code, stdout, numpy_line = _fresh_main(argv, tmp_path)
+        report = f"{code}\n{stdout}".encode()
+        if argv[0] == "simulate":
+            report += (tmp_path / "trajectory.csv").read_bytes()
+        assert (code, numpy_line) == (0, "numpy loaded: True")
         assert hashlib.sha256(report).hexdigest() == digest
 
 
