@@ -15,20 +15,29 @@ bit of a trajectory.  Each state is one row (t, x1, x2, x3, v1, v2, v3) of a
 table allocated before the first step.
 
 Reductions are max and an exact sum of squares, so results do not depend on
-evaluation order or on how the values are split into pieces.  A finite
-square is s * 2^(k - 1075), with s its 53-bit significand and
-k = max(exponent field, 1), which also places subnormals.  The squares are
-binned by their raw exponent field in blocks of 2^16, written into scratch
-buffers of at most that size: per bin, a count and the sums of the high 25
-and low 27 of the 52 stored significand bits.  Each partial sum is an
-integer below 2^53, exact in float64 and in any order, and the blocks add
-up in int64.  The implicit bit of a normal square comes from the count: a
-bin k > 0 holds count * 2^52 more.  A block whose largest square is 0 adds
-nothing and is skipped before it is binned.  The bins fold into one integer
-T = sum of s * 2^k, and T / 2^1075 is a correctly rounded integer division:
-the value ``math.fsum`` returns, divided by the count as before.  Where that
-sum overflows a float, T / (count * 2^1075) still gives the finite mean.  An
-inf or nan square makes the mean inf or nan, as it does in ``math.fsum``.
+evaluation order or on how the values are split into pieces.  Every finite
+square is a multiple of 2^-1074, so the sum is one integer T in units of
+2^-1075, and T / 2^1075 is a correctly rounded integer division: the value
+``math.fsum`` returns, divided by the count as before.  The squares are
+summed in blocks of 2^16 by error-free extraction (Rump, Ogita & Oishi,
+"Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+2008).  Let a pass take n values p, each below 2^e in modulus, and
+sigma = 2^(e + b + 1) with b the bit length of n.  Then p + sigma lies within
+a quarter of sigma, so q = (p + sigma) - sigma is exact (Sterbenz), a
+multiple of u = 2^(e + b - 52), and the remainder p - q is the rounding error
+of p + sigma: exact, and at most u in modulus.  The n pieces q add up to
+less than 2^(e + b) + n u < sigma = 2^53 u, so every partial sum is exact and
+``q.sum()`` is exact in any order; its integer ratio goes into T, and the
+remainders make the next pass.  Each pass lowers e by at least 51 - b, and
+a pass with sigma <= 2^-1022 leaves no remainder, as u is then below the
+spacing of the floats.  A block whose largest square is below 2^e therefore
+takes at most 1 + ceil((e + 1023 + b) / (51 - b)) passes: 62 for a full
+block at worst, 2 or 3 when its squares span a few binades.  A pass whose
+sigma would overflow runs on the values times 2^-256, which is exact for
+every value it leaves a nonzero piece of; the others keep their remainder
+unscaled.  A block whose largest square is 0 adds nothing.  Where the sum
+overflows a float, T / (count * 2^1075) still gives the finite mean.  An inf
+or nan square makes the mean inf or nan, as it does in ``math.fsum``.
 
 Grid residuals stream through this sum: ``maxwell_grid_residuals`` works
 through the cube in slabs of whole x1-planes, about 2^16 points each plus
@@ -173,9 +182,35 @@ class ResidualReport:
         return {"entries": [e.to_json_dict() for e in self.entries]}
 
 
-_BLOCK = 1 << 16  # squares per bincount; bounds the scratch buffers, keeps bin sums < 2^53
-_MANTISSA = np.uint64(2**52 - 1)
-_LOW = np.uint64(2**27 - 1)
+_BLOCK = 1 << 16  # squares per extraction: bounds the scratch buffers and b <= 17 in the pass bound
+_SCALE = 256  # a pass whose sigma would overflow runs on the values times 2^-256
+
+
+def _extractions(p: np.ndarray, q: np.ndarray, top: float):
+    """Split the finite values p into exact pieces, one per pass: each pass
+    yields the sum of its piece as an integer multiple of 2^-1075 and leaves
+    what is left in p.  ``top`` is max |p|; q is scratch of p's size."""
+    shift = p.size.bit_length() + 1
+    while top:
+        k = math.frexp(top)[1] + shift  # sigma = 2^k
+        scale = _SCALE if k > 1023 else 0
+        sigma = math.ldexp(1.0, k - scale)
+        if scale:
+            np.multiply(p, 2.0**-scale, out=q)
+            q += sigma
+        else:
+            np.add(p, sigma, out=q)
+        q -= sigma
+        num, den = float(q.sum()).as_integer_ratio()
+        yield (num << 1075 + scale) // den
+        if scale:  # q times 2^256 may round to 2^1024, so the remainder is taken at scale
+            kept = q != 0
+            np.multiply(p, 2.0**-scale, out=p, where=kept)
+            p -= q
+            np.multiply(p, 2.0**scale, out=p, where=kept)
+        else:
+            p -= q
+        top = max(p.max(), -p.min())
 
 
 class _SumOfSquares:
@@ -185,35 +220,25 @@ class _SumOfSquares:
     def __init__(self):
         self.size = 0
         self.peak = 0.0
-        # per exponent field: count, high and low significand halves
-        self.bins = np.zeros((3, 2047), dtype=np.int64)
+        self.total = 0  # the sum of squares in units of 2^-1075
 
     def add(self, values) -> None:
         flat = np.ravel(np.asarray(values, dtype=float))
         self.size += flat.size
         width = min(flat.size, _BLOCK)
-        # squares (then their bits), exponent fields, high and low halves
-        scratch = [np.empty(width, t) for t in (float, np.uint64, float, float)]
+        square, scratch = np.empty(width), np.empty(width)
         for start in range(0, flat.size, _BLOCK):
             block = flat[start : start + _BLOCK]
-            self._block(block, *(buf[: block.size] for buf in scratch))
+            self._block(block, square[: block.size], scratch[: block.size])
 
-    def _block(self, block, square, field, high, low) -> None:
+    def _block(self, block, square, scratch) -> None:
         peak = float(np.abs(block, out=square).max())
         if peak > self.peak or peak != peak:  # a nan stays
             self.peak = peak
         if peak * peak == 0 or not math.isfinite(self.peak * self.peak):
             return  # nothing to add, or the sum is inf or nan whatever else comes
         np.multiply(square, square, out=square)
-        bits = square.view(np.uint64)
-        np.right_shift(bits, np.uint64(52), out=field)
-        np.bitwise_and(bits, _MANTISSA, out=bits)
-        np.right_shift(bits, np.uint64(27), out=high)
-        np.bitwise_and(bits, _LOW, out=low)
-        bins = field.view(np.intp)
-        self.bins[0] += np.bincount(bins, minlength=2047)
-        self.bins[1] += np.bincount(bins, high, 2047).astype(np.int64)
-        self.bins[2] += np.bincount(bins, low, 2047).astype(np.int64)
+        self.total += sum(_extractions(square, scratch, peak * peak))
 
     def result(self) -> tuple[float, float]:
         """The max modulus and the root mean square."""
@@ -222,15 +247,10 @@ class _SumOfSquares:
         peak = self.peak
         if not math.isfinite(peak * peak):  # an inf square makes the sum inf, a nan nan
             return peak, math.sqrt(peak * peak)
-        fields = np.flatnonzero(self.bins[0])
-        total = sum(
-            (((count << 52) if k else 0) + (high << 27) + low) << max(k, 1)
-            for k, count, high, low in zip(fields.tolist(), *self.bins[:, fields].tolist())
-        )
         try:
-            mean = total / (1 << 1075) / self.size
+            mean = self.total / (1 << 1075) / self.size
         except OverflowError:  # the sum overflows, the mean (at most the peak's square) does not
-            mean = total / (self.size << 1075)
+            mean = self.total / (self.size << 1075)
         return peak, math.sqrt(mean)
 
 

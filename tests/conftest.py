@@ -497,8 +497,12 @@ def reference_norms(values) -> tuple[float, float]:
 
 
 def _reference_grid_norms(values) -> tuple[float, float]:
-    """``numeric._norms`` as it was before the grid rows streamed into one
-    accumulator: one stacked array, binned in blocks of 2^16 squares."""
+    """The exact sum of squares by exponent binning, which ``numeric`` used
+    before error-free extraction: per raw exponent field of the squares in a
+    block of 2^16, the sums of the high and low halves of the 53-bit
+    significands, folded into one integer.  It shares no step with the
+    extraction, so it stays as a second, independent exact oracle for the
+    grid residuals, applied to one stacked array per row."""
     flat = np.ravel(np.asarray(values, dtype=float))
     if flat.size == 0:
         return 0.0, 0.0

@@ -226,6 +226,8 @@ class TestSimulate:
             ("simulate", "--m", "0", "--dt", "0.1", "--steps", "10"),
             ("grid", "--m", "0"),
             ("grid", "--extent", "inf"),
+            ("grid", "--extent=0"),  # GridSpec: "extent must be positive"
+            ("grid", "--extent=-1"),
             ("grid", "--t0", "nan"),
             (
                 "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",
@@ -652,6 +654,10 @@ GOLDEN_NUMERIC_REPORTS = [
     (
         ("grid", *_GRID, "--n", "17"),
         "491227b65144850864e8353bdcbec425f94ccc3842c7bc38a2d826517361e888",
+    ),
+    (  # test_numeric.SPLIT_N: the curl rows span several 2^16 blocks and slabs
+        ("grid", *_GRID, "--n", "53"),
+        "4385d2b2783db9eafd10f3cec9eb217b3e82663e2d43ec821a64c0f059826ea2",
     ),
 ]
 

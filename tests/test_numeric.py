@@ -535,6 +535,41 @@ class TestNorms:
         exact = sum(Fraction(x * x) for x in values) / len(values)
         assert nm._norms(values) == (1.3e154, math.sqrt(float(exact)))
 
+    def test_extraction_is_exact_over_every_binade(self):
+        """One full block whose squares run from the smallest subnormal to
+        the largest float, with zeros and both signs: the sum is exact, and
+        the passes stay within the module docstring's bound, which such a
+        block reaches."""
+        rng = np.random.default_rng(3)
+        exponents = rng.integers(-1073, 1025, nm._BLOCK)
+        values = np.sqrt(np.ldexp(rng.uniform(0.5, 1.0, nm._BLOCK), exponents))
+        values[:2] = math.sqrt(np.finfo(float).max)  # squares the first pass rounds to 2^1024
+        values *= rng.choice([-1.0, 0.0, 1.0], values.size)
+        squares = values * values
+        assert squares[squares > 0].min() == 5e-324 and squares.max() > 2.0**1023
+        acc = nm._SumOfSquares()
+        acc.add(values)
+        assert Fraction(acc.total, 1 << 1075) == sum(map(Fraction, squares.tolist()))
+        top = float(squares.max())
+        parts = list(nm._extractions(squares, np.empty_like(squares), top))
+        assert sum(parts) == acc.total and not squares.any()
+        e, b = math.frexp(top)[1], squares.size.bit_length()
+        assert len(parts) == 1 + math.ceil((e + 1023 + b) / (51 - b)) == 62
+
+    def test_huge_squares_beside_subnormal_ones(self):
+        """Squares of 2^980 and up put sigma past the largest float, so the
+        first pass runs scaled by 2^-256; the subnormal squares beside them
+        keep their last bits, and no piece rounds to 2^1024."""
+        big = math.sqrt(np.finfo(float).max)
+        values = np.array([big, -np.nextafter(big, 0), 2.0**490, -3e-162, 1e-160, 0.0, 7.5e-162])
+        squares = values * values
+        assert math.frexp(squares.max())[1] + values.size.bit_length() + 1 > 1023
+        acc = nm._SumOfSquares()
+        acc.add(values)
+        exact = sum(map(Fraction, squares.tolist()))
+        assert Fraction(acc.total, 1 << 1075) == exact
+        assert acc.result() == (big, math.sqrt(float(exact / values.size)))
+
     @settings(max_examples=60, deadline=None)
     @given(partitioned_arrays())
     @example([np.geomspace(3e-162, 1e-155, 50), np.zeros(nm._BLOCK), np.array([-2e-160])])
