@@ -247,7 +247,9 @@ def cmd_duality(args) -> int:
     return _emit(payload, lines, args.json, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="embracket",
         description="Poisson-bracket electromagnetism verification toolkit",
@@ -341,14 +343,8 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged
-    return build_parser()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:

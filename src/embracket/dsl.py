@@ -321,7 +321,4 @@ def parse_components(text: str, context: str) -> tuple[Expr, Expr, Expr]:
 
 def parse_vector_field(text: str) -> VectorField:
     """Parse field-space 'e1;e2;e3' into a vector field of canonical components."""
-    try:
-        return VectorField(parse_components(text, "field-space"))
-    except ex.ExprError as err:
-        raise ParseError(0, str(err)) from None
+    return VectorField(parse_components(text, "field-space"))

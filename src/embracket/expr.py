@@ -462,8 +462,6 @@ def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Add like terms and sort by (atom keys, powers); each key is built once."""
     acc: dict[tuple, Term] = {}
     for coeff, cpow, atoms in terms:
-        if coeff == 0:
-            continue
         key = (tuple(a.key() for a in atoms), cpow)
         prev = acc.get(key)
         acc[key] = (coeff if prev is None else prev[0] + coeff, cpow, atoms)
@@ -731,8 +729,6 @@ def _term_str(coeff: Fraction, cpow: tuple, atoms: tuple) -> str:
     for atom, count in grouped:
         s = _atom_str(atom)
         num.append(s if count == 1 else f"{s}^{count}")
-    if not num:
-        num.append("1")
     num_str = "*".join(num)
     if not den:
         return num_str

@@ -515,13 +515,6 @@ class FieldLagrangianSpec:
             + rational(self.gamma) * e_dot_b
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-        }
-
 
 CANONICAL_FIELD_SPEC = FieldLagrangianSpec(Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
@@ -532,14 +525,6 @@ class ParityVerdict:
     odd_part: Expr
     canonical: FieldLagrangianSpec
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "odd_part": str(self.odd_part),
-            "canonical": self.canonical.to_json_dict(),
-            "note": self.note,
-        }
 
 
 def parity_audit(spec: FieldLagrangianSpec) -> ParityVerdict:

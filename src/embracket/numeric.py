@@ -269,6 +269,8 @@ def convergence_order(
     norm_coarse: float, norm_fine: float, h_coarse: float, h_fine: float
 ) -> float:
     """Observed order from two refinement levels."""
+    if h_coarse <= 0 or h_fine <= 0 or h_coarse == h_fine:
+        raise ValueError("the convergence order needs two different positive step sizes")
     if norm_fine <= 0 or norm_coarse <= 0:
         return float("inf")
     return math.log(norm_coarse / norm_fine) / math.log(h_coarse / h_fine)
@@ -522,6 +524,8 @@ def integrate(
 
 def measured_rotation_frequency(traj: Trajectory) -> float:
     """Angular frequency of the velocity rotation in the (v1, v2) plane."""
+    if len(traj) < 2:
+        raise ValueError("the rotation frequency needs at least two states")
     vel = traj.velocities[:, :2].tolist()
     total = 0.0
     for (a1, a2), (b1, b2) in zip(vel[:-1], vel[1:]):

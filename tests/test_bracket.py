@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from embracket import expr as ex
 from embracket.bracket import (
     Constraint,
+    _multiple,
     bracket,
     derive_divB,
     derive_faraday,
@@ -421,6 +422,10 @@ class TestDivB:
         )
         assert concrete == expected
 
+    def test_multiple_of_an_absent_monomial_is_zero(self):
+        assert _multiple(3 * ex.v(1) + ex.q(1), 2 * ex.v(1)) == Fraction(3, 2)
+        assert _multiple(ex.q(1), 2 * ex.v(1)) == 0
+
     def test_bound_verdicts(self):
         good = parse_vector_field("x2;x3;x1")
         bad = parse_vector_field("x1;0;0")
@@ -494,6 +499,10 @@ class TestRunChain:
         ]
         assert all(c.verdict is None for c in report.constraints)
         assert reverify(report)
+        with pytest.raises(KeyError):
+            report.step("no-such-step")
+        with pytest.raises(KeyError):
+            report.constraint("no-such-constraint")
 
     def test_uniform_field_passes(self):
         report = run_chain(ex.VectorField.zero(), parse_vector_field("0;0;1"))

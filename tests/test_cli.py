@@ -133,6 +133,21 @@ class TestReconstruct:
         assert code == 1
         assert "not potential" in stdout
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_potential_construction_error_exits_one(self, capsys, monkeypatch, as_json):
+        # no CLI force reaches it: concrete forces that pass have potentials
+        def refuse(force):
+            raise hh.PotentialConstructionError("no potential", ex.ZERO)
+
+        monkeypatch.setattr(hh, "reconstruct_lagrangian", refuse)
+        argv = ["reconstruct", "--force", "0;0;0"] + ["--json"] * as_json
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1 and stderr == ""
+        if as_json:
+            assert json.loads(stdout) == {"error": "no potential: 0"}
+        else:
+            assert stdout == "reconstruction: FAIL (no potential: 0)\n"
+
     def test_divergence_violating_embedded_field(self, capsys, tmp_path):
         # Lorentz form with B = (q1, 0, 0): the cyclic condition fails
         out = tmp_path / "bad.json"
@@ -233,6 +248,8 @@ class TestSimulate:
                 "simulate", "--field-B", "0;0;1", "--v0", "1,0,0",
                 "--m", "1e-200", "--c", "1e-200", "--dt", "0.1", "--steps", "10",
             ),
+            ("simulate", "--x0", "a,0,0", "--dt", "0.1", "--steps", "10"),
+            ("simulate", "--v0", "1,2", "--dt", "0.1", "--steps", "10"),
         ],
     )
     def test_invalid_value_exits_two(self, capsys, tmp_path, argv):
@@ -472,6 +489,11 @@ class TestErrorContract:
         code, _, stderr = run(capsys, *argv)
         assert code == 2
         assert stderr.endswith("(offset 6)\n")
+
+    def test_arguments_default_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["embracket", "check", "--force", "v1;0;0"])
+        assert main() == 1
+        assert capsys.readouterr().out.endswith("potentiality: FAIL\n")
 
     def test_expression_error_exits_two(self, capsys, monkeypatch):
         def reject(force):

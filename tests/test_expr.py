@@ -66,6 +66,8 @@ class TestParse:
             parse("q1", "field-space")
         with pytest.raises(ParseError):
             parse("v2", "field-space")
+        with pytest.raises(ValueError, match="unknown context"):
+            parse("q1", "configuration-space")
 
     def test_acceleration_rejected_outside_extended(self):
         with pytest.raises(ParseError):
@@ -174,6 +176,9 @@ class TestParse:
             ("qvxa[2]", 0),
             ("d(B[1],qx[1])", 7),
             ("d(B[1],v1)", 7),
+            ("d(q1,1)", 5),
+            ("d(B[1])", 0),
+            ("delta(i,+)", 8),
             ("E[4]", 2),
             ("delta(i,j", 8),
         ],
@@ -811,6 +816,50 @@ class TestArithmetic:
         assert (ex.E_SYM / ex.M_SYM) ** -2 == ex.M_SYM**2 / ex.E_SYM**2
         with pytest.raises(ex.NonPolynomialError):
             (ex.q(1) + ex.ONE) ** -1
+        with pytest.raises(ex.NonPolynomialError):
+            ex.q(1) ** 1.5
+
+    def test_reflected_operators_and_rationals(self):
+        assert 1 - ex.q(1) == parse("1 - q1")
+        assert 1 / ex.C_SYM == parse("1/c")
+        assert ex.ONE == 1 and ex.q(1) != Fraction(1) and ex.q(1) != "q1"
+        assert ex.Expr(((Fraction(0), (1, 0, 0), ()),)).is_zero
+
+    @pytest.mark.parametrize(
+        "op", [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b],
+        ids=["add", "sub", "mul", "truediv"],
+    )
+    def test_non_rational_operand_not_implemented(self, op):
+        with pytest.raises(TypeError):
+            op(ex.q(1), 1.5)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            ex.q(1).terms = ()
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: ex.q(""), ex.IndexConventionError),
+            (lambda: ex.q(4), ex.IndexConventionError),
+            (lambda: ex.instantiate_indices(ex.q("i"), {1: 2}), ex.IndexConventionError),
+            (lambda: field_component("D", 1), ex.ExprError),
+            (lambda: scalar_field("phi"), ex.ExprError),
+            (lambda: ex.Expr(((Fraction(1), (0, 0, 0), ("q1",)),)), TypeError),
+        ],
+        ids=["empty-index", "index-4", "index-name", "vector-family", "scalar-family", "not-an-atom"],
+    )
+    def test_constructor_rejections(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_dummy_pool_grows_past_its_names(self):
+        # eleven summed pairs outnumber the ten base dummy names
+        b_sq = field_component("B", "i") * field_component("B", "i")
+        power = b_sq**11
+        assert power.free_indices() == set()
+        names = {n for _, _, atoms in power.terms for n in ex._name_counts(atoms)}
+        assert len(names) == 11 and "i1" in names
 
     def test_dummy_indices_kept_apart_in_products(self):
         qv = ex.q("i") * ex.v("i")  # contracted pair
@@ -949,6 +998,22 @@ class TestSubstituteFields:
         got = substitute_fields(ex.q(1) * field_component("B", 2), {"B": parse_vector_field("0;1;0")})
         assert got == ex.x(1)
 
+    def test_scalar_family_binding(self):
+        da0 = partial(scalar_field("A0"), ("q", 1))
+        assert substitute_fields(da0, {"A0": parse("x1^2*t", "field-space")}) == parse("2*x1*t", "field-space")
+
+    @pytest.mark.parametrize(
+        "expr, bindings",
+        [
+            (field_component("B", 1), {"B": ex.x(1)}),
+            (scalar_field("A0"), {"A0": VectorField.zero()}),
+        ],
+        ids=["vector-family", "scalar-family"],
+    )
+    def test_binding_of_the_wrong_type(self, expr, bindings):
+        with pytest.raises(ex.UnboundSymbolError):
+            substitute_fields(expr, bindings)
+
 
 class TestParity:
     def test_examples(self):
@@ -990,6 +1055,16 @@ class TestPrinting:
             assert reparsed == expr
             assert str(reparsed) == printed
 
+    @pytest.mark.parametrize(
+        "expr, printed",
+        [
+            (1 / ex.C_SYM, "1/c"),
+            (partial(scalar_field("A0"), ("q", 1)), "d(A0,q1)"),
+        ],
+    )
+    def test_printed_form(self, expr, printed):
+        assert str(expr) == printed
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150, deadline=None)
     def test_round_trip_property(self, seed):
@@ -1005,6 +1080,18 @@ class TestVectorField:
             VectorField((ex.v(1), ZERO, ZERO))
         with pytest.raises(ex.ExprError):
             VectorField((ZERO, ZERO))
+        with pytest.raises(ex.ExprError, match="expressions"):
+            VectorField((1, ZERO, ZERO))
+        with pytest.raises(ex.ExprError, match="concrete indices"):
+            VectorField((ex.x("i"), ZERO, ZERO))
+
+    def test_value_semantics(self):
+        vf = parse_vector_field("x2;x3;x1")
+        assert vf == parse_vector_field("x2;x3;x1") and vf != "x2;x3;x1"
+        assert hash(vf) == hash(parse_vector_field("x2;x3;x1"))
+        assert repr(vf) == "VectorField(x2;x3;x1)"
+        with pytest.raises(AttributeError):
+            vf.components = ()
 
     def test_calculus_helpers(self):
         vf = parse_vector_field("x2;x3;x1")

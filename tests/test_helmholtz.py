@@ -110,6 +110,8 @@ class TestHelmholtzCheck:
         for i, j in itertools.product((1, 2, 3), repeat=2):
             expected = ex.rational(-2 * k) if i == j else ZERO
             assert cond.residual_at(i, j) == expected
+        with pytest.raises(KeyError):
+            report.condition("no-such-condition")
 
     def test_divergence_violation_hits_cyclic_condition(self):
         force = ForceLaw.lorentz(ZERO_FIELD, parse_vector_field("x1;0;0"))
@@ -327,6 +329,18 @@ class TestReconstruction:
         with pytest.raises(ex.ExprError):
             ForceLaw((ZERO, ZERO, ZERO), potential=parse("v1^2"))
 
+    def test_two_components_rejected(self):
+        with pytest.raises(ex.ExprError, match="three components"):
+            ForceLaw((ZERO, ZERO))
+
+    def test_opaque_potentiality_is_not_constructed(self):
+        # the gradient of an opaque scalar passes every Helmholtz condition,
+        # but its potentials need concrete polynomials
+        force = ForceLaw(tuple(parse(s, "extended") for s in ("d(f,q1)", "d(f,q2)", "d(f,q3)")))
+        assert helmholtz_check(force).passed
+        with pytest.raises(PotentialConstructionError, match="opaque field components"):
+            reconstruct_lagrangian(force)
+
 
 def _lagrangian_or_refusal(build):
     try:
@@ -521,6 +535,7 @@ class TestDuality:
     def test_divergence_constraint_maps_to_gauss(self):
         mapped = normalize_sign(duality_map(div_b_expression()))
         assert mapped == parse("d(E[l],q[l])", "extended")
+        assert normalize_sign(mapped) is mapped  # a positive leading term stays
 
     def test_faraday_maps_to_ampere(self):
         mapped = normalize_sign(duality_map(faraday_expression()))

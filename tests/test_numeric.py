@@ -79,6 +79,10 @@ class TestEvaluate:
         with pytest.raises(ex.UnboundSymbolError):
             evaluate(parse("v1"), np.zeros(3))
 
+    def test_point_must_be_a_3_vector(self):
+        with pytest.raises(ValueError, match="3-vectors"):
+            evaluate(parse("x1", "field-space"), np.zeros(2))
+
 
 class TestValidation:
     def test_bindings(self):
@@ -107,6 +111,8 @@ class TestValidation:
     def test_state_finite(self):
         with pytest.raises(ValueError):
             ParticleState([0, 0, float("nan")], [0, 0, 0])
+        with pytest.raises(ValueError, match="3-vectors"):
+            ParticleState([0, 0], [0, 0, 0])
 
     def test_trajectory_uniformity(self):
         times = np.array([0.0, 0.1, 0.25])
@@ -135,6 +141,11 @@ class TestIntegrators:
             errors[h] = abs(measured_rotation_frequency(traj) - 1.0)
         ratio = errors[0.04] / errors[0.02]
         assert 3.0 < ratio < 5.0
+
+    def test_rotation_frequency_needs_two_states(self):
+        one = Trajectory(np.zeros(1), np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]), 0.1)
+        with pytest.raises(ValueError, match="two states"):
+            measured_rotation_frequency(one)
 
     @pytest.mark.parametrize("v0", [(1, 0, 0), (1, 0, 0.5)])
     @pytest.mark.parametrize("h", [0.04, 0.02])
@@ -313,6 +324,8 @@ class TestElResidual:
         traj = integrate(self.state, (ZERO_FIELD, ZERO_FIELD), 0.05, 50, "rk4")
         report = el_residual(traj, lag)
         assert report.entry("euler-lagrange").max < 1e-12
+        with pytest.raises(KeyError):
+            report.entry("no-such-entry")
 
     def test_second_order_convergence(self):
         maxes = {}
@@ -509,6 +522,7 @@ class TestNorms:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e150, 1e150), max_size=40))
+    @example([])
     def test_matches_reference_on_edge_floats(self, values):
         # hypothesis favours 0, -0, subnormals and the largest floats
         assert repr(nm._norms(values)) == repr(reference_norms(values))
@@ -706,6 +720,18 @@ class TestGridResiduals:
                 GridSpec(1.0, 17).h,
             )
             assert 1.5 < order < 2.5
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [((1e-3, 0.0, 0.25, 0.125), math.inf), ((1.0, -1.0, 0.25, 0.125), math.inf), ((4.0, 1.0, 0.2, 0.1), 2.0)],
+    )
+    def test_convergence_order_values(self, args, expected):
+        assert convergence_order(*args) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("h_coarse, h_fine", [(0.1, 0.1), (0.1, 0.0), (-0.2, 0.1)])
+    def test_convergence_order_needs_two_positive_steps(self, h_coarse, h_fine):
+        with pytest.raises(ValueError, match="two different positive step sizes"):
+            convergence_order(1.0, 0.5, h_coarse, h_fine)
 
     def test_stencils_exact_on_quadratics(self, rng):
         # central differences reproduce symbolic derivatives on degree <= 2
