@@ -41,7 +41,6 @@ from .expr import (
     Eps,
     Field,
     M_SYM,
-    Scalar,
     UnsupportedOperandError,
     Var,
     VectorField,
@@ -63,7 +62,7 @@ def _atom_class(atom) -> str:
         if atom.kind == "t":
             return "f"
         return "bad"
-    if isinstance(atom, (Field, Scalar)):
+    if isinstance(atom, Field):
         return "f"
     return "const"  # Delta / Eps
 
@@ -505,11 +504,7 @@ def derive_faraday() -> DerivationReport:
 
 def bind_constraint(constraint: Constraint, bindings: dict) -> Constraint:
     """Attach a pass/fail verdict by instantiating free indices and binding fields."""
-    needed = {
-        a.family
-        for a in constraint.expr.atoms()
-        if isinstance(a, (Field, Scalar))
-    }
+    needed = {a.family for a in constraint.expr.atoms() if isinstance(a, Field)}
     if not needed.issubset(bindings):
         return constraint
     frees = sorted(constraint.expr.free_indices())

@@ -357,8 +357,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
     except (ValueError, ex.ExprError, OSError) as err:
-        # invalid numeric values (non-finite states, m <= 0, dt <= 0, too few
-        # steps), symbolic inputs the expression layer rejects, and an --out
+        # invalid numeric values (non-finite states or dt, m <= 0, dt <= 0, too
+        # few steps), symbolic inputs the expression layer rejects, and an --out
         # path that cannot be written
         print(f"{args.command}: {err}", file=sys.stderr)
         return USAGE

@@ -2,7 +2,11 @@
 
 Every ``Expr`` is held in canonical form at all times: a sum of monomials,
 each monomial carrying an exact rational coefficient, a power product of the
-opaque symbolic constants e, m, c, and a sorted tuple of indexed atoms.
+opaque symbolic constants e, m, c, and a sorted tuple of indexed atoms:
+variables (``Var``), Kronecker deltas and Levi-Civita symbols (``Delta``,
+``Eps``), and opaque functions of (position, t) (``Field``): a component of
+E, B or A or, with index None, a scalar A0, U or f, which sorts before every
+vector component.
 Canonicalization
 
 * contracts Kronecker deltas against summed indices and evaluates them on
@@ -142,28 +146,18 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """An opaque scalar field A0, U, or f of (position, t), possibly differentiated."""
-
-    family: str
-    derivs: tuple = ()
-
-    def key(self) -> tuple:
-        return (3, 0, self.family, len(self.derivs), 0, 0, "") + tuple(
-            itertools.chain.from_iterable(_dvar_key(d) for d in self.derivs)
-        )
-
-
-@dataclass(frozen=True)
 class Field:
-    """One component of an opaque vector field E, B, or A, possibly differentiated."""
+    """An opaque function of (position, t), possibly differentiated: one
+    component of a vector field E, B or A, or, with index None, a scalar
+    field A0, U or f.  Scalars sort before every vector component."""
 
     family: str
-    index: Index
+    index: Index | None
     derivs: tuple = ()
 
     def key(self) -> tuple:
-        return (4, 0, self.family, len(self.derivs)) + _index_key(self.index) + tuple(
+        rank = 3 if self.index is None else 4
+        return (rank, 0, self.family, len(self.derivs)) + _index_key(self.index) + tuple(
             itertools.chain.from_iterable(_dvar_key(d) for d in self.derivs)
         )
 
@@ -191,7 +185,7 @@ class Eps:
         return (1, 0, "", 0) + _index_key(self.a) + _index_key(self.b) + _index_key(self.c)
 
 
-Atom = Union[Var, Scalar, Field, Delta, Eps]
+Atom = Union[Var, Field, Delta, Eps]
 
 # A term is (coefficient, (pow_e, pow_m, pow_c), atoms).
 Term = tuple
@@ -205,9 +199,8 @@ def _atom_indices(atom: Atom) -> list[Index]:
     if isinstance(atom, Eps):
         return [atom.a, atom.b, atom.c]
     if isinstance(atom, Field):
-        return [atom.index] + [d[1] for d in atom.derivs if d[1] is not None]
-    if isinstance(atom, Scalar):
-        return [d[1] for d in atom.derivs if d[1] is not None]
+        head = [] if atom.index is None else [atom.index]
+        return head + [d[1] for d in atom.derivs if d[1] is not None]
     raise TypeError(f"not an atom: {atom!r}")
 
 
@@ -228,18 +221,11 @@ def _rename_atom(atom: Atom, mapping: Mapping[str, Index]) -> Atom:
             _rename_idx(atom.b, mapping),
             _rename_idx(atom.c, mapping),
         )
-    if isinstance(atom, Field):
-        return Field(
-            atom.family,
-            _rename_idx(atom.index, mapping),
-            tuple((d[0], _rename_idx(d[1], mapping)) for d in atom.derivs),
-        )
-    if isinstance(atom, Scalar):
-        return Scalar(
-            atom.family,
-            tuple((d[0], _rename_idx(d[1], mapping)) for d in atom.derivs),
-        )
-    raise TypeError(f"not an atom: {atom!r}")
+    return Field(
+        atom.family,
+        _rename_idx(atom.index, mapping),
+        tuple((d[0], _rename_idx(d[1], mapping)) for d in atom.derivs),
+    )
 
 
 def _sort3_signed(seq: Sequence[Index]) -> tuple[int, tuple]:
@@ -265,8 +251,6 @@ def _normalize_atom(atom: Atom) -> tuple[int, Atom]:
         return sign, Eps(a, b, c)
     if isinstance(atom, Field) and len(atom.derivs) > 1:
         return 1, Field(atom.family, atom.index, tuple(sorted(atom.derivs, key=_dvar_key)))
-    if isinstance(atom, Scalar) and len(atom.derivs) > 1:
-        return 1, Scalar(atom.family, tuple(sorted(atom.derivs, key=_dvar_key)))
     return 1, atom
 
 
@@ -572,7 +556,7 @@ class Expr:
         return any(isinstance(a, Var) and a.kind in kinds for a in self.atoms())
 
     def has_fields(self) -> bool:
-        return any(isinstance(a, (Field, Scalar)) for a in self.atoms())
+        return any(isinstance(a, Field) for a in self.atoms())
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -698,16 +682,10 @@ def _atom_str(atom: Atom) -> str:
         return f"delta({atom.a},{atom.b})"
     if isinstance(atom, Eps):
         return f"eps({atom.a},{atom.b},{atom.c})"
-    if isinstance(atom, Field):
-        base = f"{atom.family}[{atom.index}]"
-        if not atom.derivs:
-            return base
-        return "d(" + ",".join([base] + [_dvar_str(d) for d in atom.derivs]) + ")"
-    if isinstance(atom, Scalar):
-        if not atom.derivs:
-            return atom.family
-        return "d(" + ",".join([atom.family] + [_dvar_str(d) for d in atom.derivs]) + ")"
-    raise TypeError(f"not an atom: {atom!r}")
+    base = atom.family if atom.index is None else f"{atom.family}[{atom.index}]"
+    if not atom.derivs:
+        return base
+    return "d(" + ",".join([base] + [_dvar_str(d) for d in atom.derivs]) + ")"
 
 
 _CONST_NAMES = ("e", "m", "c")
@@ -763,7 +741,7 @@ def _atom_expr(*atoms: Atom) -> Expr:
     One variable, or one field atom with no derivative slot, is canonical as
     it stands; anything else goes through the canonicalizer.
     """
-    bare = len(atoms) == 1 and isinstance(atoms[0], (Var, Field, Scalar))
+    bare = len(atoms) == 1 and isinstance(atoms[0], (Var, Field))
     bare = bare and not getattr(atoms[0], "derivs", ())
     return Expr(((Fraction(1), (0, 0, 0), atoms),), _canonical=bare)
 
@@ -797,7 +775,7 @@ def field_component(family: str, i: Index) -> Expr:
 def scalar_field(family: str) -> Expr:
     if family not in SCALAR_FAMILIES:
         raise ExprError(f"unknown scalar field family {family!r}")
-    return _atom_expr(Scalar(family))
+    return _atom_expr(Field(family, None))
 
 
 def delta(i: Index, j: Index) -> Expr:
@@ -841,14 +819,10 @@ def _atom_partial(atom: Atom, kind: str, idx: Index | None) -> tuple | None:
         if isinstance(atom.index, int) and isinstance(idx, int):
             return () if atom.index == idx else None
         return (Delta(atom.index, idx),)
-    if isinstance(atom, (Field, Scalar)):
-        if kind == "v":
-            return None
-        dv = ("t", None) if kind == "t" else (kind, idx)
-        if isinstance(atom, Field):
-            return (Field(atom.family, atom.index, atom.derivs + (dv,)),)
-        return (Scalar(atom.family, atom.derivs + (dv,)),)
-    raise TypeError(f"not an atom: {atom!r}")
+    if kind == "v":
+        return None
+    dv = ("t", None) if kind == "t" else (kind, idx)
+    return (Field(atom.family, atom.index, atom.derivs + (dv,)),)
 
 
 def partial(expr: Expr, var) -> Expr:
@@ -928,8 +902,8 @@ def parity_transform(expr: Expr) -> Expr:
         for atom in atoms:
             if isinstance(atom, Var) and atom.kind in ("q", "x", "v", "a"):
                 sign = -sign
-            elif isinstance(atom, (Field, Scalar)):
-                if isinstance(atom, Field) and atom.family in _PARITY_ODD_FAMILIES:
+            elif isinstance(atom, Field):
+                if atom.family in _PARITY_ODD_FAMILIES:
                     sign = -sign
                 for dv in atom.derivs:
                     if dv[0] in ("q", "x"):
@@ -951,9 +925,7 @@ def substitute_fields(expr: Expr, bindings: Mapping[str, object]) -> Expr:
         raise UnboundSymbolError(
             f"cannot bind fields with free indices {sorted(frees)}"
         )
-    needed = {
-        a.family for a in expr.atoms() if isinstance(a, (Field, Scalar))
-    }
+    needed = {a.family for a in expr.atoms() if isinstance(a, Field)}
     missing = sorted(needed - set(bindings))
     if missing:
         raise UnboundSymbolError(f"unbound field families: {missing}")
@@ -963,16 +935,16 @@ def substitute_fields(expr: Expr, bindings: Mapping[str, object]) -> Expr:
         for atom in atoms:
             if isinstance(atom, Field):
                 binding = bindings[atom.family]
-                if not isinstance(binding, VectorField):
+                if atom.index is None:
+                    if not isinstance(binding, Expr):
+                        raise UnboundSymbolError(
+                            f"family {atom.family!r} needs a scalar expression binding"
+                        )
+                elif isinstance(binding, VectorField):
+                    binding = binding.components[atom.index - 1]
+                else:
                     raise UnboundSymbolError(
                         f"family {atom.family!r} needs a VectorField binding"
-                    )
-                piece = piece * _apply_derivs(binding.components[atom.index - 1], atom.derivs)
-            elif isinstance(atom, Scalar):
-                binding = bindings[atom.family]
-                if not isinstance(binding, Expr):
-                    raise UnboundSymbolError(
-                        f"family {atom.family!r} needs a scalar expression binding"
                     )
                 piece = piece * _apply_derivs(binding, atom.derivs)
             else:

@@ -268,11 +268,17 @@ def _entry(name: str, values, h: float) -> ResidualEntry:
 def convergence_order(
     norm_coarse: float, norm_fine: float, h_coarse: float, h_fine: float
 ) -> float:
-    """Observed order from two refinement levels."""
+    """Observed order from two refinement levels.
+
+    An error that vanishes on the fine level only converges infinitely fast
+    (inf); one that grows from exactly 0 diverges (-inf).
+    """
     if h_coarse <= 0 or h_fine <= 0 or h_coarse == h_fine:
         raise ValueError("the convergence order needs two different positive step sizes")
-    if norm_fine <= 0 or norm_coarse <= 0:
-        return float("inf")
+    if norm_fine < 0 or norm_coarse < 0 or norm_fine == norm_coarse == 0:
+        raise ValueError("the convergence order needs two non-negative norms, not both 0")
+    if norm_fine == 0 or norm_coarse == 0:
+        return math.inf if norm_fine == 0 else -math.inf
     return math.log(norm_coarse / norm_fine) / math.log(h_coarse / h_fine)
 
 
@@ -504,8 +510,8 @@ def integrate(
     bindings = bindings or NumericBindings()
     if method not in _STEPPERS:
         raise ValueError(f"unknown integrator {method!r}")
-    if not h > 0 or not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"need h > 0 and 1 <= steps <= {MAX_STEPS}")
+    if not 0 < h < math.inf or not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"need a finite h > 0 and 1 <= steps <= {MAX_STEPS}")
     stepper, constants = _STEPPERS[method]
     consts = constants(h, bindings)
     e_at, b_at = (_compile_field(vf, bindings) for vf in fields)

@@ -88,9 +88,6 @@ def raw_term_value(term, assignment, table: ValueTable) -> float:
         elif isinstance(atom, ex.Field):
             derivs = tuple((d[0], _assign(d[1], assignment)) for d in atom.derivs)
             value *= table.get((atom.family, _assign(atom.index, assignment), tuple(sorted(derivs))))
-        elif isinstance(atom, ex.Scalar):
-            derivs = tuple((d[0], _assign(d[1], assignment)) for d in atom.derivs)
-            value *= table.get((atom.family, tuple(sorted(derivs))))
         else:
             raise AssertionError(f"unhandled atom {atom!r}")
     return value
@@ -344,13 +341,11 @@ def reference_atom_partial(atom, kind, idx):
         if isinstance(atom.index, int) and isinstance(idx, int):
             return ex.ONE if atom.index == idx else None
         return ex.delta(atom.index, idx)
-    if isinstance(atom, (ex.Field, ex.Scalar)):
+    if isinstance(atom, ex.Field):
         if kind == "v":
             return None
         dv = ("t", None) if kind == "t" else (kind, idx)
-        if isinstance(atom, ex.Field):
-            return ex._atom_expr(ex.Field(atom.family, atom.index, atom.derivs + (dv,)))
-        return ex._atom_expr(ex.Scalar(atom.family, atom.derivs + (dv,)))
+        return ex._atom_expr(ex.Field(atom.family, atom.index, atom.derivs + (dv,)))
     raise TypeError(f"not an atom: {atom!r}")
 
 
@@ -383,7 +378,7 @@ def _reference_atom_class(atom) -> str:
         if atom.kind == "t":
             return "f"
         return "bad"
-    if isinstance(atom, (ex.Field, ex.Scalar)):
+    if isinstance(atom, ex.Field):
         return "f"
     return "const"  # Delta / Eps
 

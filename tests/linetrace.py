@@ -25,13 +25,11 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "embracket"
 
 _INTERNAL = "internal-consistency raise: no input reaches it while the algorithm is correct"
-_NOT_ATOM = "fallthrough behind _atom_indices' check, which every term passes through first"
 _DROPPED = "reached by test_deep_nesting only after RecursionError has dropped the tracer"
 ALLOW = {
     ("helmholtz.py", 'raise AssertionError("a_ij v_j + b_i does not give the force back")'): _INTERNAL,
     ("helmholtz.py", 'raise AssertionError("curl A does not give B back")'): _INTERNAL,
     ("helmholtz.py", 'raise AssertionError("-grad A0 does not give E + (1/c) dA/dt back")'): _INTERNAL,
-    ("expr.py", 'raise TypeError(f"not an atom: {atom!r}")'): _NOT_ATOM,
     ("dsl.py", "tok = parser.peek()"): _DROPPED,
     ("dsl.py", 'raise ParseError(tok.pos, "expression nested too deeply", tok.value or None) from None'): _DROPPED,
 }

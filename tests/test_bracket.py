@@ -137,7 +137,7 @@ def bracket_terms(draw, frees: list):
             atoms.append(ex.Var("t", None))
         elif kind == "scalar":
             derivs = draw(st.sampled_from([(), (("q", draw(ints)),), (("t", None),)]))
-            atoms.append(ex.Scalar(draw(st.sampled_from(["A0", "U", "f"])), derivs))
+            atoms.append(ex.Field(draw(st.sampled_from(["A0", "U", "f"])), None, derivs))
         else:
             atoms.append(ex.Var(kind, draw(ints)))
     if draw(st.integers(0, 19)) == 10:

@@ -445,6 +445,16 @@ class TestErrorContract:
         assert stderr == f"{argv[0]}: e, m and c must be finite\n"
         assert not out.exists()
 
+    def test_infinite_step_exits_two(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "simulate", "--field-B", "0;0;1", "--v0", "1,0,0", "--dt", "inf", "--steps", "10",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "simulate: need a finite h > 0 and 1 <= steps <= 1000000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embracket import expr as ex
+from embracket.bracket import bracket
 from embracket.dsl import CONTEXTS, ParseError, parse, parse_components, parse_vector_field
 from embracket.expr import (
     VectorField,
@@ -413,7 +414,7 @@ def _motif(kind: int, fresh) -> list:
         [ex.Eps(a, b, c), ex.Var("v", a), ex.Var("v", b), ex.Field("B", c)],  # zero
         [ex.Eps(a, b, c), ex.Var("v", a), ex.Field("B", b), ex.Field("E", c)],
         [ex.Field("B", a, (("q", a), ("t", None)))],
-        [ex.Delta(a, b), ex.Var("q", a), ex.Scalar("U", (("q", b),))],
+        [ex.Delta(a, b), ex.Var("q", a), ex.Field("U", None, (("q", b),))],
     ][kind]
 
 
@@ -453,7 +454,7 @@ def carved_terms(draw):
         elif kind == "field":
             atoms.append(ex.Field(draw(st.sampled_from("EBA")), cut[0]))
         elif kind == "scalar":
-            atoms.append(ex.Scalar("U", (("x", cut[0]), ("t", None))))
+            atoms.append(ex.Field("U", None, (("x", cut[0]), ("t", None))))
         else:
             atoms.append(ex.Var(draw(st.sampled_from("qvx")), cut[0]))
     return tuple(atoms)
@@ -602,8 +603,6 @@ def _slots_reversed(atom):
     """The atom with its derivative slots in reverse order."""
     if isinstance(atom, ex.Field):
         return ex.Field(atom.family, atom.index, atom.derivs[::-1])
-    if isinstance(atom, ex.Scalar):
-        return ex.Scalar(atom.family, atom.derivs[::-1])
     return atom
 
 
@@ -619,7 +618,7 @@ def index_free_terms(draw):
         st.builds(ex.Var, st.sampled_from("qvxa"), ints),
         st.just(ex.Var("t")),
         st.builds(ex.Field, st.sampled_from("EBA"), ints, slots),
-        st.builds(ex.Scalar, st.sampled_from(ex.SCALAR_FAMILIES), slots),
+        st.builds(ex.Field, st.sampled_from(ex.SCALAR_FAMILIES), st.none(), slots),
     )
     atoms = draw(st.lists(atom, max_size=4))
     if atoms:
@@ -1070,6 +1069,97 @@ class TestPrinting:
     def test_round_trip_property(self, seed):
         expr = random_concrete_expr(random.Random(seed), depth=5)
         assert parse(str(expr), "extended") == expr
+
+
+class TestScalarForms:
+    """Canonical, parity and bracket forms of expressions that mix the scalars
+    A0, U and f, with derivative slots in any order, beside E, B, A components
+    and q, v, t: literal strings, so any change in how scalars sort, print or
+    differentiate shows."""
+
+    @pytest.mark.parametrize(
+        "text, canonical, parity, bracket_v",
+        [
+        (
+            "d(U,t,q[i])*v[i] + A0*E[1]*q2 - 3*f*d(B[j],q[j])",
+            "q2*A0*E[1] + v[i]*d(U,q[i],t) - 3*f*d(B[i],q[i])",
+            "q2*A0*E[1] + v[i]*d(U,q[i],t) + 3*f*d(B[i],q[i])",
+            "-delta(2,k)*A0*E[1]/m + e*eps(i,j,k)*d(U,q[i],t)*B[j]/(m^2*c)"
+            " - q2*A0*d(E[1],q[k])/m - q2*d(A0,q[k])*E[1]/m - v[i]*d(U,q[i],q[k],t)/m"
+            " + 3*f*d(B[i],q[i],q[k])/m + 3*d(f,q[k])*d(B[i],q[i])/m",
+        ),
+        (
+            "d(A0,q[m],t)*E[m] + U^2*t*v1 - d(f,x2,q[n],t)*A[n]",
+            "t*v1*U^2 + d(A0,q[i],t)*E[i] - d(f,q[i],x2,t)*A[i]",
+            "-t*v1*U^2 + d(A0,q[i],t)*E[i] + d(f,q[i],x2,t)*A[i]",
+            "e*eps(1,2,k)*t*U^2*B[2]/(m^2*c) + e*eps(1,3,k)*t*U^2*B[3]/(m^2*c)"
+            " - 2*t*v1*U*d(U,q[k])/m - d(A0,q[i],t)*d(E[i],q[k])/m - d(A0,q[i],q[k],t)*E[i]/m"
+            " + d(f,q[i],x2,t)*d(A[i],q[k])/m + d(f,q[i],q[k],x2,t)*A[i]/m",
+        ),
+        (
+            "eps(i,j,l)*d(U,q[l],x[j])*v[i] + d(A0,t,t)*B[2]*q3",
+            "-eps(i,j,k)*v[i]*d(U,q[j],x[k]) + q3*d(A0,t,t)*B[2]",
+            "eps(i,j,k)*v[i]*d(U,q[j],x[k]) - q3*d(A0,t,t)*B[2]",
+            "-delta(3,k)*d(A0,t,t)*B[2]/m + eps(i,j,l)*v[i]*d(U,q[j],q[k],x[l])/m"
+            " - q3*d(A0,t,t)*d(B[2],q[k])/m - q3*d(A0,q[k],t,t)*B[2]/m"
+            " - e*d(U,q[i],x[k])*B[i]/(m^2*c) + e*d(U,q[k],x[i])*B[i]/(m^2*c)",
+        ),
+        (
+            "U*f*A0*v[s]*q[s] + d(U,q1,x3)*d(E[2],t) + d(f,t,x1)*v2",
+            "q[i]*v[i]*A0*U*f + v2*d(f,x1,t) + d(U,q1,x3)*d(E[2],t)",
+            "q[i]*v[i]*A0*U*f + v2*d(f,x1,t) - d(U,q1,x3)*d(E[2],t)",
+            "-e*eps(1,2,k)*d(f,x1,t)*B[1]/(m^2*c) + e*eps(2,3,k)*d(f,x1,t)*B[3]/(m^2*c)"
+            " + e*eps(i,j,k)*q[i]*A0*U*f*B[j]/(m^2*c) - q[i]*v[i]*A0*U*d(f,q[k])/m"
+            " - q[i]*v[i]*A0*d(U,q[k])*f/m - q[i]*v[i]*d(A0,q[k])*U*f/m - v2*d(f,q[k],x1,t)/m"
+            " - v[k]*A0*U*f/m - d(U,q1,x3)*d(E[2],q[k],t)/m - d(U,q1,q[k],x3)*d(E[2],t)/m",
+        ),
+        (
+            "f*A0 - A0*f + U*d(U,q2)*d(A0,t,q1,q1)*v1*v3",
+            "v1*v3*d(A0,q1,q1,t)*U*d(U,q2)",
+            "-v1*v3*d(A0,q1,q1,t)*U*d(U,q2)",
+            "e*eps(1,2,k)*v3*d(A0,q1,q1,t)*U*d(U,q2)*B[2]/(m^2*c)"
+            " - e*eps(1,3,k)*v1*d(A0,q1,q1,t)*U*d(U,q2)*B[1]/(m^2*c)"
+            " + e*eps(1,3,k)*v3*d(A0,q1,q1,t)*U*d(U,q2)*B[3]/(m^2*c)"
+            " - e*eps(2,3,k)*v1*d(A0,q1,q1,t)*U*d(U,q2)*B[2]/(m^2*c)"
+            " - v1*v3*d(A0,q1,q1,t)*U*d(U,q2,q[k])/m - v1*v3*d(A0,q1,q1,t)*d(U,q2)*d(U,q[k])/m"
+            " - v1*v3*d(A0,q1,q1,q[k],t)*U*d(U,q2)/m",
+        ),
+        ],
+    )
+    def test_forms(self, text, canonical, parity, bracket_v):
+        expr = parse(text, "extended")
+        assert str(expr) == canonical
+        assert str(parity_transform(expr)) == parity
+        assert str(bracket(ex.v("k"), expr)) == bracket_v
+
+    def test_substitute_scalar_bindings(self):
+        expr = parse("d(U,q1,t)*A0 + f*d(A0,q2)*B[3] - d(f,t,t)*E[1]*U", "extended")
+        bindings = {
+            "U": parse("x1^2*t", "field-space"),
+            "A0": parse("x2*t + x3^2", "field-space"),
+            "f": parse("t^3*x1", "field-space"),
+            "B": parse_vector_field("0;0;x1*x2"),
+            "E": parse_vector_field("t;0;0"),
+        }
+        got = substitute_fields(expr, bindings)
+        assert str(got) == "t^4*x1^2*x2 - 6*t^3*x1^3 + 2*t*x1*x2 + 2*x1*x3^2"
+
+    @pytest.mark.parametrize(
+        "expr, bindings, message",
+        [
+            (field_component("B", 1), {"B": ex.x(1)}, "family 'B' needs a VectorField binding"),
+            (
+                partial(scalar_field("A0"), ("q", 2)),
+                {"A0": VectorField.zero()},
+                "family 'A0' needs a scalar expression binding",
+            ),
+        ],
+        ids=["vector-family", "scalar-family"],
+    )
+    def test_binding_type_errors(self, expr, bindings, message):
+        with pytest.raises(ex.UnboundSymbolError) as err:
+            substitute_fields(expr, bindings)
+        assert str(err.value) == message
 
 
 class TestVectorField:

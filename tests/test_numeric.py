@@ -723,10 +723,15 @@ class TestGridResiduals:
 
     @pytest.mark.parametrize(
         "args, expected",
-        [((1e-3, 0.0, 0.25, 0.125), math.inf), ((1.0, -1.0, 0.25, 0.125), math.inf), ((4.0, 1.0, 0.2, 0.1), 2.0)],
+        [((1e-3, 0.0, 0.25, 0.125), math.inf), ((0.0, 1e-3, 0.25, 0.125), -math.inf), ((4.0, 1.0, 0.2, 0.1), 2.0)],
     )
     def test_convergence_order_values(self, args, expected):
         assert convergence_order(*args) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("norm_coarse, norm_fine", [(1.0, -1.0), (-1.0, 1.0), (0, 0)])
+    def test_convergence_order_needs_usable_norms(self, norm_coarse, norm_fine):
+        with pytest.raises(ValueError, match="two non-negative norms, not both 0"):
+            convergence_order(norm_coarse, norm_fine, 0.25, 0.125)
 
     @pytest.mark.parametrize("h_coarse, h_fine", [(0.1, 0.1), (0.1, 0.0), (-0.2, 0.1)])
     def test_convergence_order_needs_two_positive_steps(self, h_coarse, h_fine):
